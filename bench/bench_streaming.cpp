@@ -1,24 +1,14 @@
 // Ablation A6 — the streaming cast engine quantified: the paper's memory
 // argument (§7: live state depends on the schemas and document DEPTH, not
-// document SIZE) plus the raw-byte skip-scanner speedup that R_sub
-// subsumption buys.
+// document SIZE) and the time of a streamed cast next to the DOM pipeline
+// (ParseXml + CastValidator) on the same text.
 //
 // Two corpora stress the two axes:
 //
 //   * WIDE — high fanout, heavily subsumed: source r(rec*) → target
 //     r(rec+) with identical rec(k,v) declarations, so every rec pair is
-//     in R_sub and the session byte-skips ~all of the payload. This is
-//     where skip-scanning pays: the A/B is
-//       skip_scan   — StreamingCastSession, subsumed subtrees handed to
-//                     the SIMD SkipScanner (never tokenized)
-//       tokenize    — same session with StreamingCastOptions{skip_scan =
-//                     false}: every byte is tokenized, validation is
-//                     merely suppressed inside subsumed subtrees
-//       legacy      — StreamingCastValidate (the pre-session SAX path)
-//     BM_WideSkipSpeedup interleaves skip and tokenize within each
-//     iteration (back to back on the same buffer) so frequency scaling or
-//     cache warm-up cannot favor one side; its `speedup` counter is the
-//     acceptance ratio.
+//     in R_sub and the session hands ~all of the payload to the raw-byte
+//     SkipScanner (never tokenized).
 //
 //   * DEEP — a 100k-deep single chain under a NON-subsumed pair (the
 //     target drops a sibling the source allows, so no subtree can be
@@ -34,7 +24,6 @@
 //   stream_live_bytes     max_live_frames * ~frame + peak carry buffer
 //   dom_peak_bytes        Document::MemoryUsage().total() after parse
 //   dom_vs_stream_mem_ratio  dom_peak_bytes / stream_live_bytes
-//   speedup               tokenize-everything ns / skip-scan ns (wide)
 
 #include <benchmark/benchmark.h>
 
@@ -52,9 +41,9 @@ namespace {
 
 using namespace xmlreval;
 
-// An open frame is {TypeId, Symbol, bool, StateId, std::string}; 64 bytes
-// is a round upper bound for the struct itself (text capacity is counted
-// via peak_carry for the parser side and is empty for complex types).
+// An open frame is {Symbol, ordinals, TypeIds, content-run state}; 64 bytes
+// is a round upper bound for the struct itself (the parser side is counted
+// via peak_carry).
 constexpr double kFrameBytes = 64.0;
 
 bench::SchemaPair LoadDtdPair(const char* source_dtd, const char* target_dtd,
@@ -133,10 +122,8 @@ uint64_t DomNodeCount(const std::string& text) {
 }
 
 core::StreamingReport RunSession(const core::TypeRelations& relations,
-                                 const std::string& text, bool skip_scan) {
-  core::StreamingCastOptions options;
-  options.skip_scan = skip_scan;
-  core::StreamingCastSession session(relations, options);
+                                 const std::string& text) {
+  core::StreamingCastSession session(relations);
   Status fed = session.Feed(text);
   (void)fed;
   return session.Finish();
@@ -169,7 +156,7 @@ void BM_WideSkipScan(benchmark::State& state) {
   double total_ns = 0;
   for (auto _ : state) {
     auto t0 = std::chrono::steady_clock::now();
-    report = RunSession(*pair.relations, text, /*skip_scan=*/true);
+    report = RunSession(*pair.relations, text);
     total_ns += std::chrono::duration<double, std::nano>(
                     std::chrono::steady_clock::now() - t0)
                     .count();
@@ -177,64 +164,6 @@ void BM_WideSkipScan(benchmark::State& state) {
   }
   if (!report.valid) std::abort();
   SessionCounters(state, text, report, doc_nodes, total_ns);
-}
-
-void BM_WideTokenizeAll(benchmark::State& state) {
-  bench::SchemaPair& pair = WidePair();
-  std::string text = WideText(state.range(0));
-  uint64_t doc_nodes = DomNodeCount(text);
-  core::StreamingReport report;
-  double total_ns = 0;
-  for (auto _ : state) {
-    auto t0 = std::chrono::steady_clock::now();
-    report = RunSession(*pair.relations, text, /*skip_scan=*/false);
-    total_ns += std::chrono::duration<double, std::nano>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
-    benchmark::DoNotOptimize(report.valid);
-  }
-  if (!report.valid) std::abort();
-  SessionCounters(state, text, report, doc_nodes, total_ns);
-}
-
-void BM_WideLegacy(benchmark::State& state) {
-  bench::SchemaPair& pair = WidePair();
-  std::string text = WideText(state.range(0));
-  uint64_t doc_nodes = DomNodeCount(text);
-  core::StreamingReport report;
-  double total_ns = 0;
-  for (auto _ : state) {
-    auto t0 = std::chrono::steady_clock::now();
-    report = core::StreamingCastValidate(text, *pair.relations);
-    total_ns += std::chrono::duration<double, std::nano>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
-    benchmark::DoNotOptimize(report.valid);
-  }
-  if (!report.valid) std::abort();
-  report.bytes_skipped = 0;  // legacy path tokenizes everything
-  SessionCounters(state, text, report, doc_nodes, total_ns);
-}
-
-/// The acceptance A/B: one skip-scan pass and one tokenize-everything pass
-/// back to back inside each iteration, same buffer, alternating — the
-/// `speedup` counter is immune to run-order effects.
-void BM_WideSkipSpeedup(benchmark::State& state) {
-  bench::SchemaPair& pair = WidePair();
-  std::string text = WideText(state.range(0));
-  double skip_ns = 0;
-  double tokenize_ns = 0;
-  for (auto _ : state) {
-    auto t0 = std::chrono::steady_clock::now();
-    core::StreamingReport a = RunSession(*pair.relations, text, true);
-    auto t1 = std::chrono::steady_clock::now();
-    core::StreamingReport b = RunSession(*pair.relations, text, false);
-    auto t2 = std::chrono::steady_clock::now();
-    if (a.valid != b.valid) std::abort();
-    skip_ns += std::chrono::duration<double, std::nano>(t1 - t0).count();
-    tokenize_ns += std::chrono::duration<double, std::nano>(t2 - t1).count();
-  }
-  state.counters["speedup"] = tokenize_ns / skip_ns;
 }
 
 void BM_WideDom(benchmark::State& state) {
@@ -242,8 +171,7 @@ void BM_WideDom(benchmark::State& state) {
   core::CastValidator validator(pair.relations.get());
   std::string text = WideText(state.range(0));
   uint64_t doc_nodes = DomNodeCount(text);
-  core::StreamingReport stream =
-      RunSession(*pair.relations, text, /*skip_scan=*/true);
+  core::StreamingReport stream = RunSession(*pair.relations, text);
   double dom_bytes = 0;
   double total_ns = 0;
   for (auto _ : state) {
@@ -272,7 +200,7 @@ void BM_DeepStreaming(benchmark::State& state) {
   double total_ns = 0;
   for (auto _ : state) {
     auto t0 = std::chrono::steady_clock::now();
-    report = RunSession(*pair.relations, text, /*skip_scan=*/true);
+    report = RunSession(*pair.relations, text);
     total_ns += std::chrono::duration<double, std::nano>(
                     std::chrono::steady_clock::now() - t0)
                     .count();
@@ -290,8 +218,7 @@ void BM_DeepDom(benchmark::State& state) {
   core::CastValidator validator(pair.relations.get());
   std::string text = DeepText(state.range(0));
   uint64_t doc_nodes = DomNodeCount(text);
-  core::StreamingReport stream =
-      RunSession(*pair.relations, text, /*skip_scan=*/true);
+  core::StreamingReport stream = RunSession(*pair.relations, text);
   double dom_bytes = 0;
   double total_ns = 0;
   for (auto _ : state) {
@@ -315,9 +242,6 @@ void BM_DeepDom(benchmark::State& state) {
 #define WIDE_GRID ->Arg(1000)->Arg(20000)
 #define DEEP_GRID ->Arg(1000)->Arg(100000)
 BENCHMARK(BM_WideSkipScan) WIDE_GRID;
-BENCHMARK(BM_WideTokenizeAll) WIDE_GRID;
-BENCHMARK(BM_WideLegacy) WIDE_GRID;
-BENCHMARK(BM_WideSkipSpeedup) WIDE_GRID;
 BENCHMARK(BM_WideDom) WIDE_GRID;
 BENCHMARK(BM_DeepStreaming) DEEP_GRID;
 BENCHMARK(BM_DeepDom) DEEP_GRID;

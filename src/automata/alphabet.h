@@ -15,6 +15,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/string_util.h"
+
 namespace xmlreval::automata {
 
 using Symbol = uint32_t;
@@ -76,14 +78,8 @@ class Alphabet {
   size_t size() const { return names_.size(); }
 
  private:
-  struct StringHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-
-  std::unordered_map<std::string, Symbol, StringHash, std::equal_to<>> ids_;
+  std::unordered_map<std::string, Symbol, StringViewHash, std::equal_to<>>
+      ids_;
   std::vector<std::string> names_;
 };
 

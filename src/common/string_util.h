@@ -4,6 +4,7 @@
 #define XMLREVAL_COMMON_STRING_UTIL_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -11,6 +12,16 @@
 #include "common/result.h"
 
 namespace xmlreval {
+
+/// Transparent hash for std::string-keyed unordered containers: with
+/// std::equal_to<> as the key equality, find() takes a std::string_view
+/// and builds no temporary string.
+struct StringViewHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view s) const {
+    return std::hash<std::string_view>{}(s);
+  }
+};
 
 /// Returns `s` with leading/trailing ASCII whitespace removed.
 std::string_view TrimWhitespace(std::string_view s);

@@ -22,12 +22,8 @@ ValidationReport Drain(const TypeRelations& relations,
                        const CastValidator::Options& options,
                        const xml::Document& doc, xml::NodeId path_anchor,
                        CastScratch* scratch, ValidationReport report) {
-  internal::CastWalk walk{relations,
-                          relations.source(),
-                          relations.target(),
-                          doc,
-                          options.use_immediate_content,
-                          doc.BoundTo(*relations.source().alphabet())};
+  internal::CastWalk walk(relations, doc, options.use_immediate_content,
+                          doc.BoundTo(*relations.source().alphabet()));
   walk.simple_value = &scratch->simple_value;
   std::vector<CastUnit>& frontier = scratch->frontier;
   while (!frontier.empty()) {
@@ -46,7 +42,7 @@ ValidationReport Drain(const TypeRelations& relations,
       break;
     }
   }
-  report.counters = walk.counters;
+  report.counters = walk.k.counters;
   return report;
 }
 

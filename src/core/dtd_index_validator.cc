@@ -1,14 +1,17 @@
 #include "core/dtd_index_validator.h"
 
 #include <optional>
+#include <string>
 
 #include "common/macros.h"
 #include "common/string_util.h"
+#include "core/cast_kernel.h"
 
 namespace xmlreval::core {
 
 using automata::Symbol;
-using automata::Verdict;
+using internal::CastKernel;
+using internal::PairAction;
 using schema::kInvalidType;
 
 namespace {
@@ -69,12 +72,19 @@ Result<DtdIndexValidator> DtdIndexValidator::Create(
       // A label the source never produces, or one the target cannot type:
       // any instance makes the document invalid under the target DTD.
       plan.action = LabelAction::kForeign;
-    } else if (relations->Subsumed(plan.source_type, plan.target_type)) {
-      plan.action = LabelAction::kSkip;
-    } else if (relations->Disjoint(plan.source_type, plan.target_type)) {
-      plan.action = LabelAction::kReject;
-    } else {
-      plan.action = LabelAction::kCheck;
+      continue;
+    }
+    switch (internal::ClassifyPair(*relations, plan.source_type,
+                                   plan.target_type)) {
+      case PairAction::kSkip:
+        plan.action = LabelAction::kSkip;
+        break;
+      case PairAction::kReject:
+        plan.action = LabelAction::kReject;
+        break;
+      case PairAction::kCheck:
+        plan.action = LabelAction::kCheck;
+        break;
     }
   }
   return v;
@@ -90,175 +100,156 @@ std::vector<std::string> DtdIndexValidator::CheckedLabels() const {
   return out;
 }
 
-ValidationReport DtdIndexValidator::Validate(
-    const xml::Document& doc, const xml::LabelIndex& index) const {
-  const Schema& source = relations_->source();
-  const Schema& target = relations_->target();
-  ValidationReport report;
+// The label-index driver of the §3.2 kernel: rather than walk the tree, it
+// visits the instances of each label the plan must check, label by label.
+// It counts visits by its plan, blames the instance (or, for a child outside
+// Σ, the child), and stops at the first failure — CastWalk's protocol.
+struct DtdIndexValidator::Walk {
+  Walk(const DtdIndexValidator& validator, const xml::Document& document)
+      : plans(validator.plans_),
+        k(*validator.relations_, validator.options_.use_immediate_content),
+        doc(document),
+        use_symbols(document.BoundTo(*k.source.alphabet())) {}
 
-  auto fail = [&](xml::NodeId node, std::string message) {
-    report.valid = false;
-    report.violation = std::move(message);
-    report.violation_path = xml::DeweyPath::Of(doc, node);
-  };
+  const std::vector<LabelPlan>& plans;
+  CastKernel k;
+  const xml::Document& doc;
+  const bool use_symbols;
+  std::string simple_value;  // reused across simple-typed instances
+  xml::NodeId fail_node = xml::kInvalidNode;
+  std::string fail_message;
 
-  bool use_symbols = doc.BoundTo(*source.alphabet());
-  auto symbol_of = [&](xml::NodeId c) -> Symbol {
-    if (use_symbols) return doc.symbol(c);
-    std::optional<Symbol> sym = source.alphabet()->Find(doc.label(c));
-    return sym ? *sym : automata::kUnboundSymbol;
-  };
-
-  // Root label must be accepted by the target's R.
-  if (doc.has_root()) {
-    Symbol sym = symbol_of(doc.root());
-    if (sym == automata::kUnboundSymbol ||
-        target.RootType(sym) == kInvalidType) {
-      fail(doc.root(), StrCat("root element '", doc.label(doc.root()),
-                              "' is not declared by the target schema"));
-      return report;
-    }
+  bool Fail(xml::NodeId node, std::string message) {
+    fail_node = node;
+    fail_message = std::move(message);
+    return false;
   }
 
-  // Validates every instance of one label. Returns false when a violation
-  // was recorded (`label` is resolved lazily — only failures need it).
-  auto check_instances = [&](Symbol sym,
-                             const std::vector<xml::NodeId>& instances) {
-    const std::string& label = source.alphabet()->Name(sym);
-    const LabelPlan& plan = plans_[sym];
+  Symbol SymbolOf(xml::NodeId c) const {
+    if (use_symbols) return doc.symbol(c);
+    std::optional<Symbol> sym = k.source.alphabet()->Find(doc.label(c));
+    return sym ? *sym : automata::kUnboundSymbol;
+  }
 
+  bool Run(const xml::LabelIndex& index) {
+    if (doc.has_root()) {
+      TypeId s_root = kInvalidType;
+      TypeId t_root = kInvalidType;
+      const CastUnitKind typing =
+          k.TypeRoot(SymbolOf(doc.root()), &s_root, &t_root);
+      if (typing != CastUnitKind::kValidate) {
+        return Fail(doc.root(),
+                    CastKernel::RootMessage(typing, doc.label(doc.root())));
+      }
+    }
+
+    if (use_symbols && index.HasSymbolBuckets()) {
+      // Bound fast path: walk the dense buckets — no hashing, no Find, no
+      // label-vector materialization. Out-of-Σ elements live only in the
+      // string index, so check the marker once up front.
+      if (xml::NodeId unbound = index.FirstUnbound();
+          unbound != xml::kInvalidNode) {
+        return Fail(unbound, CastKernel::UnboundMessage(doc.label(unbound)));
+      }
+      for (Symbol sym = 0; sym < index.NumSymbolBuckets(); ++sym) {
+        const std::vector<xml::NodeId>& instances = index.Instances(sym);
+        if (instances.empty()) continue;
+        if (sym >= plans.size()) {
+          // Interned after this validator was created: no plan, no type.
+          return Fail(instances[0],
+                      CastKernel::UnboundMessage(doc.label(instances[0])));
+        }
+        if (!CheckInstances(sym, instances)) return false;
+      }
+      return true;
+    }
+
+    for (const std::string& label : index.Labels()) {
+      const std::vector<xml::NodeId>& instances = index.Instances(label);
+      Symbol sym = instances.empty() ? automata::kUnboundSymbol
+                                     : SymbolOf(instances[0]);
+      if (sym == automata::kUnboundSymbol || sym >= plans.size()) {
+        return Fail(instances[0], CastKernel::UnboundMessage(label));
+      }
+      if (!CheckInstances(sym, instances)) return false;
+    }
+    return true;
+  }
+
+  // Validates every instance of one label.
+  bool CheckInstances(Symbol sym, const std::vector<xml::NodeId>& instances) {
+    const std::string& label = k.source.alphabet()->Name(sym);
+    const LabelPlan& plan = plans[sym];
     switch (plan.action) {
       case LabelAction::kSkip:
-        report.counters.subtrees_skipped += instances.size();
+        k.counters.subtrees_skipped += instances.size();
         return true;
       case LabelAction::kForeign:
-        fail(instances[0], StrCat("element '", label,
-                                  "' has no type under the target schema"));
-        return false;
+        return Fail(instances[0], StrCat("element '", label,
+                                         "' has no type under the target "
+                                         "schema"));
       case LabelAction::kReject:
-        ++report.counters.disjoint_rejects;
-        fail(instances[0],
-             StrCat("element '", label, "': source type '",
-                    source.TypeName(plan.source_type),
-                    "' is disjoint from target type '",
-                    target.TypeName(plan.target_type), "'"));
-        return false;
+        ++k.counters.disjoint_rejects;
+        return Fail(instances[0], k.PairRejectMessage(label, plan.source_type,
+                                                      plan.target_type));
       case LabelAction::kCheck:
         break;
     }
-
-    // Verify the immediate content model of every instance.
-    const automata::ImmediateDfa* pair =
-        options_.use_immediate_content
-            ? relations_->PairAutomaton(plan.source_type, plan.target_type)
-            : nullptr;
     for (xml::NodeId node : instances) {
-      ++report.counters.nodes_visited;
-      ++report.counters.elements_visited;
-
-      if (target.IsSimple(plan.target_type)) {
-        ++report.counters.simple_checks;
-        std::string value = doc.SimpleContent(node);
-        report.counters.nodes_visited += doc.CountChildren(node);
-        report.counters.text_nodes_visited += doc.CountChildren(node);
-        Status check = schema::ValidateSimpleValue(
-            target.simple_type(plan.target_type), value);
-        if (!check.ok()) {
-          fail(node, StrCat("element '", label, "': ", check.message()));
-          return false;
-        }
-        continue;
-      }
-
-      const schema::ComplexType& t_decl =
-          target.complex_type(plan.target_type);
-      if (!t_decl.open_attributes) {
-        ++report.counters.attr_checks;
-        Status attrs =
-            schema::ValidateTypeAttributes(t_decl, doc.attributes(node));
-        if (!attrs.ok()) {
-          fail(node, StrCat("element '", label, "': ", attrs.message()));
-          return false;
-        }
-      }
-
-      std::vector<Symbol> symbols;
-      for (xml::NodeId c : xml::ElementChildRange(doc, node)) {
-        Symbol child_sym = symbol_of(c);
-        if (child_sym == automata::kUnboundSymbol) {
-          fail(c, StrCat("element '", doc.label(c),
-                         "' is outside the schemas' alphabet"));
-          return false;
-        }
-        symbols.push_back(child_sym);
-      }
-
-      bool accepted;
-      if (pair != nullptr) {
-        automata::ImmediateRunResult run = pair->Run(symbols);
-        report.counters.dfa_steps += run.symbols_scanned;
-        if (run.decided_early) ++report.counters.immediate_decisions;
-        accepted = run.verdict == Verdict::kAccept;
-      } else {
-        const automata::Dfa* dfa = relations_->TargetDfa(plan.target_type);
-        automata::StateId q = dfa->start_state();
-        accepted = true;
-        for (Symbol child_sym : symbols) {
-          if (child_sym >= dfa->alphabet_size()) {
-            accepted = false;
-            break;
-          }
-          q = dfa->Next(q, child_sym);
-          ++report.counters.dfa_steps;
-        }
-        accepted = accepted && dfa->IsAccepting(q);
-      }
-      if (!accepted) {
-        fail(node,
-             StrCat("children of '", label,
-                    "' do not match the content model of target type '",
-                    target.TypeName(plan.target_type), "'"));
-        return false;
-      }
+      k.CountElement();
+      if (!CheckInstance(node, plan, label)) return false;
     }
     return true;
-  };
+  }
 
-  if (use_symbols && index.HasSymbolBuckets()) {
-    // Bound fast path: walk the dense buckets — no hashing, no Find, no
-    // label-vector materialization. Out-of-Σ elements live only in the
-    // string index, so check the marker once up front.
-    if (xml::NodeId unbound = index.FirstUnbound();
-        unbound != xml::kInvalidNode) {
-      fail(unbound, StrCat("element '", doc.label(unbound),
-                           "' is outside the schemas' alphabet"));
-      return report;
-    }
-    for (Symbol sym = 0; sym < index.NumSymbolBuckets(); ++sym) {
-      const std::vector<xml::NodeId>& instances = index.Instances(sym);
-      if (instances.empty()) continue;
-      if (sym >= plans_.size()) {
-        // Interned after this validator was created: no plan, no type.
-        fail(instances[0], StrCat("element '", doc.label(instances[0]),
-                                  "' is outside the schemas' alphabet"));
-        return report;
+  // The immediate content of one instance of a kCheck label.
+  bool CheckInstance(xml::NodeId node, const LabelPlan& plan,
+                     const std::string& label) {
+    const TypeId t_type = plan.target_type;
+    if (k.target.IsSimple(t_type)) {
+      // Source validity leaves only text children; all count as visited.
+      const size_t children = doc.CountChildren(node);
+      k.counters.nodes_visited += children;
+      k.counters.text_nodes_visited += children;
+      simple_value.clear();
+      for (xml::NodeId c = doc.first_child(node); c != xml::kInvalidNode;
+           c = doc.next_sibling(c)) {
+        if (doc.IsText(c)) simple_value += doc.text(c);
       }
-      if (!check_instances(sym, instances)) return report;
+      if (k.SimpleValueOk(t_type, simple_value)) return true;
+      return Fail(node, k.DetailMessage(label));
     }
-    return report;
+    if (!k.AttributesOk(t_type, doc.attributes(node))) {
+      return Fail(node, k.DetailMessage(label));
+    }
+    // Every child is checked for Σ membership, in document order, even
+    // past the content run's verdict.
+    internal::ContentRun run;
+    bool accepted = k.StartContent(plan.source_type, t_type, &run);
+    for (xml::NodeId c : xml::ElementChildRange(doc, node)) {
+      const Symbol child_sym = SymbolOf(c);
+      if (child_sym == automata::kUnboundSymbol) {
+        return Fail(c, CastKernel::UnboundMessage(doc.label(c)));
+      }
+      if (accepted && !run.decided) {
+        accepted = k.StepContent(&run, child_sym);
+      }
+    }
+    if (accepted && CastKernel::EndContent(run)) return true;
+    return Fail(node, k.ContentMessage(label, t_type));
   }
+};
 
-  for (const std::string& label : index.Labels()) {
-    const std::vector<xml::NodeId>& instances = index.Instances(label);
-    Symbol sym = instances.empty() ? automata::kUnboundSymbol
-                                   : symbol_of(instances[0]);
-    if (sym == automata::kUnboundSymbol || sym >= plans_.size()) {
-      fail(instances[0], StrCat("element '", label,
-                                "' is outside the schemas' alphabet"));
-      return report;
-    }
-    if (!check_instances(sym, instances)) return report;
+ValidationReport DtdIndexValidator::Validate(
+    const xml::Document& doc, const xml::LabelIndex& index) const {
+  Walk walk(*this, doc);
+  ValidationReport report;
+  if (!walk.Run(index)) {
+    report.valid = false;
+    report.violation = std::move(walk.fail_message);
+    report.violation_path = xml::DeweyPath::Of(doc, walk.fail_node);
   }
+  report.counters = walk.k.counters;
   return report;
 }
 

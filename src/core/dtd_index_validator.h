@@ -6,7 +6,9 @@
 // entirely: only the labels whose (source, target) type pair is neither
 // subsumed nor disjoint need their instances' immediate content models
 // verified; a single instance of a disjoint-pair label makes the document
-// invalid; everything else is untouched.
+// invalid; everything else is untouched. Each checked instance is decided
+// by the same per-element kernel as the tree and event drivers
+// (core/cast_kernel.h).
 
 #ifndef XMLREVAL_CORE_DTD_INDEX_VALIDATOR_H_
 #define XMLREVAL_CORE_DTD_INDEX_VALIDATOR_H_
@@ -45,6 +47,8 @@ class DtdIndexValidator {
 
  private:
   DtdIndexValidator() = default;
+
+  struct Walk;  // the label-index driver of one Validate call
 
   enum class LabelAction : uint8_t { kSkip, kReject, kCheck, kForeign };
 

@@ -27,7 +27,7 @@ class FullValidator {
                                    xml::NodeId node, TypeId type) const;
 
  private:
-  struct Walk;  // recursion state (counters + violation)
+  struct Walk;  // explicit-stack traversal state (counters + violation)
 
   const Schema* schema_;
 };

@@ -41,8 +41,7 @@ size_t CalibrateSpawnThreshold(const TypeRelations& rel,
   if (!internal::ResolveRootUnit(rel, doc, use_symbols, &scratch, &root)) {
     return kFallbackSpawnThreshold;
   }
-  internal::CastWalk walk{rel,           rel.source(), rel.target(),
-                          doc,           use_immediate, use_symbols};
+  internal::CastWalk walk(rel, doc, use_immediate, use_symbols);
   walk.prune_subsumed_at_push = true;
   std::string simple_value;
   walk.simple_value = &simple_value;
@@ -172,12 +171,8 @@ void RunTask(const std::shared_ptr<SharedRun>& run,
   // task's slice of the traversal counters.
   obs::Span span("cast.task");
   run->tasks.fetch_add(1, std::memory_order_relaxed);
-  internal::CastWalk walk{*run->rel,
-                          run->rel->source(),
-                          run->rel->target(),
-                          *run->doc,
-                          run->use_immediate,
-                          run->use_symbols};
+  internal::CastWalk walk(*run->rel, *run->doc, run->use_immediate,
+                          run->use_symbols);
   walk.prune_subsumed_at_push = true;
   std::string simple_value;
   walk.simple_value = &simple_value;
@@ -215,9 +210,9 @@ void RunTask(const std::shared_ptr<SharedRun>& run,
           });
     }
   }
-  AttachTraceArgs(span, walk.counters);
+  AttachTraceArgs(span, walk.k.counters);
   std::lock_guard lock(run->merge_mutex);
-  run->counters += walk.counters;
+  run->counters += walk.k.counters;
 }
 
 }  // namespace

@@ -1,24 +1,23 @@
 #include "core/streaming_validator.h"
 
+#include <algorithm>
 #include <optional>
 #include <utility>
 #include <vector>
 
-#include "common/macros.h"
-#include "common/string_util.h"
+#include "core/cast_kernel.h"
 #include "xml/push_parser.h"
 
 namespace xmlreval::core {
 
 using automata::Symbol;
-using schema::kInvalidType;
-using schema::Schema;
-using schema::TypeId;
+using internal::CastKernel;
+using internal::PairAction;
 
 namespace {
 
-// Handlers abort the parse on a validity violation by returning this
-// sentinel; the wrappers translate it into report.valid = false. Genuine
+// The handler aborts the parse on a validity violation by returning this
+// sentinel; Finalize translates it into report.valid = false. Genuine
 // well-formedness errors keep their parse-error status and message.
 Status Abort() { return Status::InvalidArgument("__xmlreval_invalid__"); }
 
@@ -27,92 +26,104 @@ bool IsAbortStatus(const Status& status) {
          status.message() == "__xmlreval_invalid__";
 }
 
-// ---- Full validation over events ------------------------------------------
-
-class FullHandler : public xml::SaxHandler {
+// The event driver of the §3.2 kernel. Events arrive in document order, so
+// an element's content run is stepped as each child starts and ended when
+// the element closes; one frame per open element that needs checking. A
+// subsumed subtree is handed to the parser's raw-byte skip scanner and opens
+// no frame.
+class CastHandler : public xml::SaxHandler {
  public:
-  explicit FullHandler(const Schema& schema, StreamingReport* report)
-      : schema_(schema), report_(report) {}
+  CastHandler(const TypeRelations& rel, StreamingReport* report)
+      : k_(rel, /*immediate=*/true), report_(report) {}
+
+  void AttachParser(xml::PushParser* parser) { parser_ = parser; }
+
+  const ValidationCounters& counters() const { return k_.counters; }
 
   Status StartElement(std::string_view name,
                       const std::vector<xml::SaxAttribute>& attributes)
       override {
-    ++report_->counters.nodes_visited;
-    ++report_->counters.elements_visited;
-
-    TypeId type = kInvalidType;
-    std::optional<Symbol> sym = schema_.alphabet()->Find(name);
+    const std::optional<Symbol> found = k_.source.alphabet()->Find(name);
+    const Symbol sym = found ? *found : automata::kUnboundSymbol;
+    TypeId s_type = schema::kInvalidType;
+    TypeId t_type = schema::kInvalidType;
+    uint32_t ordinal = 0;
     if (frames_.empty()) {
-      type = sym ? schema_.RootType(*sym) : kInvalidType;
-      if (type == kInvalidType) {
-        return Fail(StrCat("root element '", name,
-                           "' is not declared by the schema"));
+      const CastUnitKind typing = k_.TypeRoot(sym, &s_type, &t_type);
+      if (typing != CastUnitKind::kPrecondition) k_.CountElement();
+      if (typing != CastUnitKind::kValidate) {
+        return FailParent(CastKernel::RootMessage(typing, name));
       }
     } else {
       Frame& parent = frames_.back();
-      if (parent.simple) {
-        return Fail(StrCat("element '", name,
-                           "' not allowed under simple-typed '",
-                           Name(parent.sym), "'"));
+      ordinal = parent.next_child++;
+      // Typing is pure, so it runs up front; its failures are reported in
+      // event order: Σ membership, the target's typing, the parent's
+      // content step, the source's typing.
+      const CastUnitKind typing =
+          k_.TypeChild(parent.s_type, parent.t_type, sym, &s_type, &t_type);
+      if (typing == CastUnitKind::kUnboundLabel) {
+        return FailParent(CastKernel::UnboundMessage(name));
       }
-      const automata::Dfa& dfa = schema_.ContentDfa(parent.type);
-      if (!sym || *sym >= dfa.alphabet_size() ||
-          schema_.ChildType(parent.type, *sym) == kInvalidType) {
-        return Fail(StrCat("element '", name,
-                           "' not allowed by the content model of type '",
-                           schema_.TypeName(parent.type), "'"));
+      k_.CountElement();
+      if (typing == CastUnitKind::kContentMismatch) return ContentFail(parent);
+      if (!parent.content.decided && !k_.StepContent(&parent.content, sym)) {
+        return ContentFail(parent);
       }
-      parent.state = dfa.Next(parent.state, *sym);
-      ++report_->counters.dfa_steps;
-      type = schema_.ChildType(parent.type, *sym);
+      if (typing == CastUnitKind::kPrecondition) {
+        return FailParent(k_.PreconditionMessage(parent.s_type, name));
+      }
     }
 
-    // A frame exists only for elements whose symbol resolved (the type
-    // checks above imply Σ membership), so storing the Symbol instead of a
-    // copied label string is lossless — and allocation-free.
-    Frame frame;
-    frame.type = type;
-    frame.sym = *sym;
-    frame.simple = schema_.IsSimple(type);
-    if (!frame.simple) {
-      RETURN_IF_ERROR(CheckAttributes(type, name, attributes));
-      frame.state = schema_.ContentDfa(type).start_state();
+    switch (k_.Enter(s_type, t_type)) {
+      case PairAction::kSkip:
+        // R_sub: any fragment valid under s_type is valid under t_type, so
+        // the subtree's bytes cannot affect the verdict — skip-scan them.
+        parser_->SkipCurrentSubtree();
+        return Status::OK();
+      case PairAction::kReject:
+        return FailSelf(k_.PairRejectMessage(name, s_type, t_type), ordinal);
+      case PairAction::kCheck:
+        break;
     }
-    frames_.push_back(std::move(frame));
+
+    Frame frame{sym, ordinal, 0, s_type, t_type, k_.target.IsSimple(t_type),
+                {}};
+    if (frame.t_simple) {
+      text_.clear();
+    } else {
+      if (!k_.AttributesOk(t_type, attributes)) {
+        return FailSelf(k_.DetailMessage(name), ordinal);
+      }
+      if (!k_.StartContent(s_type, t_type, &frame.content)) {
+        frames_.push_back(frame);  // so ContentFail names it
+        return ContentFail(frames_.back());
+      }
+    }
+    frames_.push_back(frame);
     report_->max_live_frames =
         std::max<uint64_t>(report_->max_live_frames, frames_.size());
     return Status::OK();
   }
 
   Status Characters(std::string_view text) override {
-    ++report_->counters.nodes_visited;
-    ++report_->counters.text_nodes_visited;
-    Frame& frame = frames_.back();
-    if (frame.simple) {
-      frame.text.append(text);
-      return Status::OK();
-    }
-    if (!TrimWhitespace(text).empty()) {
-      return Fail(StrCat("character data not allowed under '",
-                         Name(frame.sym), "' (element-only content)"));
+    // Text under a complex target type is whitespace by the source-validity
+    // precondition; not even inspected (mirrors CastWalk).
+    if (frames_.back().t_simple) {
+      k_.CountText();
+      text_.append(text);
     }
     return Status::OK();
   }
 
   Status EndElement(std::string_view) override {
-    Frame& frame = frames_.back();
-    if (frame.simple) {
-      ++report_->counters.simple_checks;
-      Status check = schema::ValidateSimpleValue(
-          schema_.simple_type(frame.type), frame.text);
-      if (!check.ok()) {
-        return Fail(StrCat("element '", Name(frame.sym), "': ",
-                           check.message()));
+    const Frame& frame = frames_.back();
+    if (frame.t_simple) {
+      if (!k_.SimpleValueOk(frame.t_type, text_)) {
+        return FailParent(k_.DetailMessage(Name(frame.sym)));
       }
-    } else if (!schema_.ContentDfa(frame.type).IsAccepting(frame.state)) {
-      return Fail(StrCat("children of '", Name(frame.sym),
-                         "' do not match the content model of type '",
-                         schema_.TypeName(frame.type), "'"));
+    } else if (!CastKernel::EndContent(frame.content)) {
+      return ContentFail(frame);
     }
     frames_.pop_back();
     return Status::OK();
@@ -120,248 +131,18 @@ class FullHandler : public xml::SaxHandler {
 
  private:
   struct Frame {
-    TypeId type;
-    Symbol sym;  // the element's interned symbol (label for diagnostics)
-    bool simple;
-    automata::StateId state = 0;  // content DFA state (complex types)
-    std::string text;             // accumulated χ value (simple types)
+    Symbol sym;           // interned symbol (label for diagnostics)
+    uint32_t ordinal;     // index among the parent's children
+    uint32_t next_child;  // ordinal the next child will get
+    TypeId s_type;
+    TypeId t_type;
+    bool t_simple;
+    internal::ContentRun content;  // complex target types only
   };
 
   const std::string& Name(Symbol sym) const {
-    return schema_.alphabet()->Name(sym);
+    return k_.source.alphabet()->Name(sym);
   }
-
-  Status Fail(std::string message) {
-    report_->valid = false;
-    report_->violation = std::move(message);
-    return Abort();
-  }
-
-  Status CheckAttributes(TypeId type, std::string_view name,
-                         const std::vector<xml::SaxAttribute>& attributes) {
-    const schema::ComplexType& decl = schema_.complex_type(type);
-    if (decl.open_attributes) return Status::OK();
-    ++report_->counters.attr_checks;
-    attr_scratch_.clear();
-    for (const xml::SaxAttribute& attr : attributes) {
-      attr_scratch_.push_back(
-          xml::Attribute{std::string(attr.name), std::string(attr.value)});
-    }
-    Status check = schema::ValidateTypeAttributes(decl, attr_scratch_);
-    if (!check.ok()) {
-      return Fail(StrCat("element '", name, "': ", check.message()));
-    }
-    return Status::OK();
-  }
-
-  const Schema& schema_;
-  StreamingReport* report_;
-  std::vector<Frame> frames_;
-  std::vector<xml::Attribute> attr_scratch_;
-};
-
-// ---- Schema cast over events (§3.2) ----------------------------------------
-
-class CastHandler : public xml::SaxHandler {
- public:
-  CastHandler(const TypeRelations& rel, StreamingReport* report)
-      : rel_(rel),
-        source_(rel.source()),
-        target_(rel.target()),
-        report_(report) {}
-
-  /// Session mode: subsumed subtrees are handed to `parser`'s raw-byte
-  /// skip scanner instead of being tokenized with validation suppressed.
-  /// When `use_parser_skip` is false the handler keeps the legacy
-  /// skip_depth_ suppression even under a PushParser (the
-  /// tokenize-everything A/B baseline).
-  void AttachParser(xml::PushParser* parser, bool use_parser_skip) {
-    parser_ = parser;
-    use_parser_skip_ = use_parser_skip && parser != nullptr;
-  }
-
-  Status StartElement(std::string_view name,
-                      const std::vector<xml::SaxAttribute>& attributes)
-      override {
-    if (skip_depth_ > 0) {
-      // Inside a subsumed subtree: the tokenizer still checks
-      // well-formedness, but validation does no work at all.
-      ++skip_depth_;
-      return Status::OK();
-    }
-
-    TypeId s_type = kInvalidType;
-    TypeId t_type = kInvalidType;
-    uint32_t ordinal = 0;
-    std::optional<Symbol> sym = source_.alphabet()->Find(name);
-    if (frames_.empty()) {
-      s_type = sym ? source_.RootType(*sym) : kInvalidType;
-      t_type = sym ? target_.RootType(*sym) : kInvalidType;
-      ++report_->counters.nodes_visited;
-      ++report_->counters.elements_visited;
-      if (s_type == kInvalidType) {
-        return FailParent(StrCat("precondition violated: root '", name,
-                                 "' is not declared by the source schema"));
-      }
-      if (t_type == kInvalidType) {
-        return FailParent(StrCat("root element '", name,
-                                 "' is not declared by the target schema"));
-      }
-    } else {
-      Frame& parent = frames_.back();
-      ordinal = parent.next_child++;
-      if (!sym) {
-        return FailParent(StrCat("element '", name,
-                                 "' is outside the schemas' alphabet"));
-      }
-      ++report_->counters.nodes_visited;
-      ++report_->counters.elements_visited;
-      t_type = target_.ChildType(parent.t_type, *sym);
-      if (t_type == kInvalidType) return ContentFail(parent);
-      // Step the parent's content check unless already decided.
-      if (!parent.decided) {
-        if (parent.pair != nullptr) {
-          parent.state = parent.pair->dfa().Next(parent.state, *sym);
-          ++report_->counters.dfa_steps;
-          automata::StateClass cls = parent.pair->Class(parent.state);
-          if (cls == automata::StateClass::kImmediateAccept) {
-            ++report_->counters.immediate_decisions;
-            parent.decided = true;
-          } else if (cls == automata::StateClass::kImmediateReject) {
-            ++report_->counters.immediate_decisions;
-            return ContentFail(parent);
-          }
-        } else {
-          const automata::Dfa* tdfa = rel_.TargetDfa(parent.t_type);
-          if (*sym >= tdfa->alphabet_size()) return ContentFail(parent);
-          parent.state = tdfa->Next(parent.state, *sym);
-          ++report_->counters.dfa_steps;
-        }
-      }
-      s_type = source_.ChildType(parent.s_type, *sym);
-      if (s_type == kInvalidType) {
-        return FailParent(StrCat("precondition violated: source type '",
-                                 source_.TypeName(parent.s_type),
-                                 "' does not type child label '", name, "'"));
-      }
-    }
-
-    if (rel_.Subsumed(s_type, t_type)) {
-      ++report_->counters.subtrees_skipped;
-      if (use_parser_skip_) {
-        // R_sub: any fragment valid under s_type is valid under t_type, so
-        // the subtree's bytes cannot affect the verdict — skip-scan them.
-        parser_->SkipCurrentSubtree();
-      } else {
-        skip_depth_ = 1;
-      }
-      return Status::OK();
-    }
-    if (rel_.Disjoint(s_type, t_type)) {
-      ++report_->counters.disjoint_rejects;
-      return FailSelf(StrCat("element '", name, "': source type '",
-                             source_.TypeName(s_type),
-                             "' is disjoint from target type '",
-                             target_.TypeName(t_type), "'"),
-                      ordinal);
-    }
-
-    // Frames exist only past the Σ checks above, so the Symbol is enough.
-    Frame frame;
-    frame.sym = *sym;
-    frame.ordinal = ordinal;
-    frame.s_type = s_type;
-    frame.t_type = t_type;
-    frame.t_simple = target_.IsSimple(t_type);
-    if (!frame.t_simple) {
-      const schema::ComplexType& t_decl = target_.complex_type(t_type);
-      if (!t_decl.open_attributes) {
-        ++report_->counters.attr_checks;
-        attr_scratch_.clear();
-        for (const xml::SaxAttribute& attr : attributes) {
-          attr_scratch_.push_back(
-              xml::Attribute{std::string(attr.name), std::string(attr.value)});
-        }
-        Status check = schema::ValidateTypeAttributes(t_decl, attr_scratch_);
-        if (!check.ok()) {
-          return FailSelf(StrCat("element '", name, "': ", check.message()),
-                          ordinal);
-        }
-      }
-      frame.pair = rel_.PairAutomaton(s_type, t_type);
-      if (frame.pair != nullptr) {
-        frame.state = frame.pair->dfa().start_state();
-        automata::StateClass cls = frame.pair->Class(frame.state);
-        if (cls == automata::StateClass::kImmediateAccept) {
-          ++report_->counters.immediate_decisions;
-          frame.decided = true;
-        } else if (cls == automata::StateClass::kImmediateReject) {
-          ++report_->counters.immediate_decisions;
-          frames_.push_back(frame);  // so ContentFail names it
-          return ContentFail(frames_.back());
-        }
-      } else {
-        frame.state = rel_.TargetDfa(t_type)->start_state();
-      }
-    }
-    frames_.push_back(std::move(frame));
-    report_->max_live_frames = std::max<uint64_t>(
-        report_->max_live_frames, frames_.size() + skip_depth_);
-    return Status::OK();
-  }
-
-  Status Characters(std::string_view text) override {
-    if (skip_depth_ > 0) return Status::OK();
-    Frame& frame = frames_.back();
-    if (frame.t_simple) {
-      ++report_->counters.nodes_visited;
-      ++report_->counters.text_nodes_visited;
-      frame.text.append(text);
-    }
-    // Text under a complex target type is whitespace by the source-validity
-    // precondition; not even inspected (mirrors CastValidator).
-    return Status::OK();
-  }
-
-  Status EndElement(std::string_view) override {
-    if (skip_depth_ > 0) {
-      --skip_depth_;
-      return Status::OK();
-    }
-    Frame& frame = frames_.back();
-    if (frame.t_simple) {
-      ++report_->counters.simple_checks;
-      Status check = schema::ValidateSimpleValue(
-          target_.simple_type(frame.t_type), frame.text);
-      if (!check.ok()) {
-        return FailParent(StrCat("element '",
-                                 source_.alphabet()->Name(frame.sym), "': ",
-                                 check.message()));
-      }
-    } else if (!frame.decided) {
-      bool accepted = frame.pair != nullptr
-                          ? frame.pair->dfa().IsAccepting(frame.state)
-                          : rel_.TargetDfa(frame.t_type)
-                                ->IsAccepting(frame.state);
-      if (!accepted) return ContentFail(frame);
-    }
-    frames_.pop_back();
-    return Status::OK();
-  }
-
- private:
-  struct Frame {
-    Symbol sym;  // the element's interned symbol (label for diagnostics)
-    uint32_t ordinal = 0;     // index among the parent's children
-    uint32_t next_child = 0;  // ordinal the next child will get
-    TypeId s_type;
-    TypeId t_type;
-    bool t_simple = false;
-    bool decided = false;
-    const automata::ImmediateDfa* pair = nullptr;
-    automata::StateId state = 0;
-    std::string text;
-  };
 
   Status Fail(std::string message) {
     report_->valid = false;
@@ -397,54 +178,19 @@ class CastHandler : public xml::SaxHandler {
 
   Status ContentFail(const Frame& frame) {
     SetPathToTopFrame();
-    return Fail(StrCat("children of '", source_.alphabet()->Name(frame.sym),
-                       "' do not match the content model of target type '",
-                       target_.TypeName(frame.t_type), "'"));
+    return Fail(k_.ContentMessage(Name(frame.sym), frame.t_type));
   }
 
-  const TypeRelations& rel_;
-  const Schema& source_;
-  const Schema& target_;
+  CastKernel k_;
   StreamingReport* report_;
-  std::vector<Frame> frames_;
-  std::vector<xml::Attribute> attr_scratch_;
-  size_t skip_depth_ = 0;
   xml::PushParser* parser_ = nullptr;
-  bool use_parser_skip_ = false;
+  std::vector<Frame> frames_;
+  // χ of the open simple-typed element. Only the top frame can be simple:
+  // a simple target type types no child, so a child under it fails.
+  std::string text_;
 };
 
-StreamingReport FinalizeReport(StreamingReport report, const Status& status) {
-  if (status.ok()) return report;
-  if (!report.valid) return report;  // handler aborted with a violation
-  // Well-formedness failure: surface the parse error as the violation.
-  report.valid = false;
-  report.violation = status.ToString();
-  return report;
-}
-
 }  // namespace
-
-StreamingReport StreamingValidate(std::string_view input,
-                                  const Schema& schema,
-                                  const xml::ParseOptions& options) {
-  StreamingReport report;
-  report.bytes_fed = input.size();
-  FullHandler handler(schema, &report);
-  Status status = xml::ParseXmlEvents(input, &handler, options);
-  return FinalizeReport(std::move(report), status);
-}
-
-StreamingReport StreamingCastValidate(std::string_view input,
-                                      const TypeRelations& relations,
-                                      const xml::ParseOptions& options) {
-  StreamingReport report;
-  report.bytes_fed = input.size();
-  CastHandler handler(relations, &report);
-  Status status = xml::ParseXmlEvents(input, &handler, options);
-  return FinalizeReport(std::move(report), status);
-}
-
-// ---- Incremental session ---------------------------------------------------
 
 struct StreamingCastSession::Impl {
   StreamingReport report;
@@ -453,17 +199,22 @@ struct StreamingCastSession::Impl {
   bool done = false;
   Status status;  // the deciding status returned by Feed/after done
 
-  Impl(const TypeRelations& relations, const StreamingCastOptions& options)
-      : handler(relations, &report), parser(&handler, options.parse) {
-    handler.AttachParser(&parser, options.skip_scan);
+  explicit Impl(const TypeRelations& relations)
+      : handler(relations, &report), parser(&handler) {
+    handler.AttachParser(&parser);
   }
 
   void Finalize(const Status& underlying) {
     done = true;
-    report = FinalizeReport(std::move(report), underlying);
+    report.counters = handler.counters();
     report.bytes_fed = parser.bytes_fed();
     report.bytes_skipped = parser.bytes_skipped();
     report.peak_carry_bytes = parser.peak_carry_bytes();
+    if (!underlying.ok() && report.valid) {
+      // Well-formedness failure: surface the parse error as the violation.
+      report.valid = false;
+      report.violation = underlying.ToString();
+    }
     if (underlying.ok()) {
       status = Status::OK();
     } else if (IsAbortStatus(underlying)) {
@@ -475,9 +226,8 @@ struct StreamingCastSession::Impl {
   }
 };
 
-StreamingCastSession::StreamingCastSession(const TypeRelations& relations,
-                                           const StreamingCastOptions& options)
-    : impl_(std::make_unique<Impl>(relations, options)) {}
+StreamingCastSession::StreamingCastSession(const TypeRelations& relations)
+    : impl_(std::make_unique<Impl>(relations)) {}
 
 StreamingCastSession::~StreamingCastSession() = default;
 

@@ -1,30 +1,25 @@
-// Streaming (SAX-based) validation — the paper's memory claim realized.
+// Streaming schema-cast validation — the paper's memory claim realized.
 //
 // §7: "Unlike schemes that preprocess documents ... the memory requirement
 // of our algorithm does not vary with the size of the document, but
-// depends solely on the sizes of the schemas." These validators consume
-// xml::ParseXmlEvents directly, so no DOM is ever built: live state is one
-// stack frame per OPEN element (O(document depth)) plus the preprocessed
-// schema structures.
+// depends solely on the sizes of the schemas." StreamingCastSession runs
+// §3.2's cast over the incremental PushParser, so no DOM is ever built:
+// chunks are Fed as they arrive (pipe, socket), a multi-GB document is
+// validated without ever being resident, and live state is one frame per
+// OPEN element that needs checking (O(document depth)) plus the parser's
+// bounded carry buffer and the preprocessed schema structures. It is the
+// event driver of the same per-element kernel the DOM validators use
+// (core/cast_kernel.h):
 //
-//   * StreamingFullValidator — Definition 1 over events.
-//   * StreamingCastValidator — §3.2 over events. Subsumed subtree pairs
-//     switch the validator into skip mode: the parser still tokenizes the
-//     skipped region (the bytes must be scanned for well-formedness), but
-//     no validation work — no type lookups, no DFA steps, no text
-//     inspection — happens until the subtree closes. Disjoint pairs abort
-//     the parse immediately via the handler-status channel.
-//   * StreamingCastSession — the same §3.2 cast over the incremental
-//     PushParser: chunks are Fed as they arrive (pipe, socket), so a
-//     multi-GB document is validated without ever being resident, and a
-//     subsumed (source, target) pair hands the subtree's bytes to the
-//     raw-byte SkipScanner — not even tokenized. This is the engine behind
-//     ValidationService::CastStream and `xmlreval cast --stream`.
+//   * a subsumed (source, target) pair hands the subtree's bytes to the
+//     raw-byte SkipScanner — not even tokenized;
+//   * a disjoint pair aborts the parse immediately via the handler-status
+//     channel.
 //
-// All report the usual counters plus max_live_frames, the peak element
-// stack depth — the memory metric benched against DOM validation in
-// bench_streaming; sessions additionally report byte accounting
-// (bytes_fed / bytes_skipped / peak_carry_bytes).
+// It backs ValidationService::CastStream and `xmlreval cast --stream`.
+// Reports carry the usual counters plus max_live_frames, the peak element
+// stack depth, and byte accounting (bytes_fed / bytes_skipped /
+// peak_carry_bytes).
 
 #ifndef XMLREVAL_CORE_STREAMING_VALIDATOR_H_
 #define XMLREVAL_CORE_STREAMING_VALIDATOR_H_
@@ -35,9 +30,9 @@
 #include <string_view>
 #include <vector>
 
+#include "common/status.h"
 #include "core/relations.h"
 #include "core/report.h"
-#include "xml/sax.h"
 
 namespace xmlreval::core {
 
@@ -59,34 +54,10 @@ struct StreamingReport {
   /// metric (the DOM equivalent is the total node count). Subtrees handed
   /// to the raw-byte skip scanner contribute no frames.
   uint64_t max_live_frames = 0;
-  /// Byte accounting (filled by StreamingCastSession; the whole-buffer
-  /// entry points set bytes_fed only).
+  /// Byte accounting.
   uint64_t bytes_fed = 0;
   uint64_t bytes_skipped = 0;
   uint64_t peak_carry_bytes = 0;
-};
-
-/// Validates XML text against `schema` without building a DOM.
-/// Equivalent verdicts to FullValidator over the parsed document.
-StreamingReport StreamingValidate(std::string_view input,
-                                  const schema::Schema& schema,
-                                  const xml::ParseOptions& options = {});
-
-/// Schema-cast validation of XML text known to conform to
-/// relations.source(), without building a DOM. Equivalent verdicts to
-/// CastValidator over the parsed document.
-StreamingReport StreamingCastValidate(std::string_view input,
-                                      const TypeRelations& relations,
-                                      const xml::ParseOptions& options = {});
-
-struct StreamingCastOptions {
-  /// Hand subsumed subtrees to the raw-byte SkipScanner (never tokenized).
-  /// Off = subsumed subtrees are still tokenized with validation
-  /// suppressed — the pre-session behavior, kept as the tokenize-everything
-  /// baseline in bench_streaming's A/B.
-  bool skip_scan = true;
-  /// skip_whitespace_text is honored; text is always coalesced.
-  xml::ParseOptions parse;
 };
 
 /// Incremental schema-cast validation: feed chunks as they arrive. Live
@@ -101,8 +72,7 @@ struct StreamingCastOptions {
 ///   const StreamingReport& report = session.Finish();
 class StreamingCastSession {
  public:
-  explicit StreamingCastSession(const TypeRelations& relations,
-                                const StreamingCastOptions& options = {});
+  explicit StreamingCastSession(const TypeRelations& relations);
   ~StreamingCastSession();
   StreamingCastSession(const StreamingCastSession&) = delete;
   StreamingCastSession& operator=(const StreamingCastSession&) = delete;

@@ -1,6 +1,5 @@
 #include "schema/abstract_schema.h"
 
-#include "automata/glushkov.h"
 #include "automata/product.h"
 #include "common/macros.h"
 #include "common/string_util.h"
@@ -140,31 +139,38 @@ Status SchemaBuilder::SetOpenAttributes(TypeId type) {
   return Status::OK();
 }
 
-Status ValidateTypeAttributes(const ComplexType& type,
-                              const std::vector<xml::Attribute>& attributes) {
+namespace {
+
+// Shared body of the two ValidateTypeAttributes overloads: `Attribute` is
+// xml::Attribute or xml::SaxAttribute, read through name/value views.
+template <typename Attribute>
+Status CheckAttributes(const ComplexType& type,
+                       const std::vector<Attribute>& attributes) {
   if (type.open_attributes) return Status::OK();
-  for (const xml::Attribute& attr : attributes) {
-    auto it = type.attributes.find(attr.name);
+  for (const Attribute& attr : attributes) {
+    const std::string_view name = attr.name;
+    const std::string_view value_text = attr.value;
+    auto it = type.attributes.find(name);
     if (it == type.attributes.end()) {
-      return Status::InvalidArgument("attribute '" + attr.name +
-                                     "' is not declared");
+      return Status::InvalidArgument(
+          StrCat("attribute '", name, "' is not declared"));
     }
-    Status value = ValidateSimpleValue(it->second.type, attr.value);
+    Status value = ValidateSimpleValue(it->second.type, value_text);
     if (!value.ok()) {
-      return value.WithContext("attribute '" + attr.name + "'");
+      return value.WithContext(StrCat("attribute '", name, "'"));
     }
     if (it->second.fixed &&
-        TrimWhitespace(attr.value) != TrimWhitespace(*it->second.fixed)) {
-      return Status::InvalidArgument("attribute '" + attr.name +
-                                     "' must have the fixed value '" +
-                                     *it->second.fixed + "'");
+        TrimWhitespace(value_text) != TrimWhitespace(*it->second.fixed)) {
+      return Status::InvalidArgument(
+          StrCat("attribute '", name, "' must have the fixed value '",
+                 *it->second.fixed, "'"));
     }
   }
   for (const auto& [name, decl] : type.attributes) {
     if (!decl.required) continue;
     bool present = false;
-    for (const xml::Attribute& attr : attributes) {
-      if (attr.name == name) {
+    for (const Attribute& attr : attributes) {
+      if (std::string_view(attr.name) == name) {
         present = true;
         break;
       }
@@ -175,6 +181,18 @@ Status ValidateTypeAttributes(const ComplexType& type,
     }
   }
   return Status::OK();
+}
+
+}  // namespace
+
+Status ValidateTypeAttributes(const ComplexType& type,
+                              const std::vector<xml::Attribute>& attributes) {
+  return CheckAttributes(type, attributes);
+}
+
+Status ValidateTypeAttributes(
+    const ComplexType& type, const std::vector<xml::SaxAttribute>& attributes) {
+  return CheckAttributes(type, attributes);
 }
 
 Status SchemaBuilder::AddRoot(std::string_view label, TypeId type) {
@@ -216,32 +234,7 @@ Result<Schema> SchemaBuilder::Build(const BuildOptions& options) {
             "' appears in the content model but has no child type (types_τ)");
       }
     }
-    bool lazy = options.lazy_dfa_min_alphabet != 0 &&
-                alphabet_size >= options.lazy_dfa_min_alphabet &&
-                ct.content_model != nullptr;
-    if (lazy) {
-      // Large alphabet: keep the Glushkov NFA and defer subset
-      // construction to first use (automata/lazy_dfa.h). The determinism
-      // check is on the expression, so it needs no DFA.
-      Result<automata::RegexPtr> expanded =
-          automata::ExpandRepeats(ct.content_model);
-      if (!expanded.ok()) {
-        return expanded.status().WithContext("type '" + s.TypeName(t) + "'");
-      }
-      Result<automata::GlushkovResult> glushkov =
-          automata::BuildGlushkov(*expanded, alphabet_size);
-      if (!glushkov.ok()) {
-        return glushkov.status().WithContext("type '" + s.TypeName(t) + "'");
-      }
-      if (options.require_deterministic && !glushkov->one_unambiguous) {
-        return Status::InvalidSchema(
-            "type '" + s.TypeName(t) +
-            "': content model is not deterministic (violates unique "
-            "particle attribution)");
-      }
-      ct.lazy_dfa = std::make_shared<automata::LazyDfa>(
-          std::move(glushkov->nfa));
-    } else if (ct.content_model) {
+    if (ct.content_model) {
       Result<automata::Dfa> dfa =
           automata::CompileRegex(ct.content_model, alphabet_size,
                                  options.require_deterministic);
@@ -272,11 +265,7 @@ Result<Schema> SchemaBuilder::Build(const BuildOptions& options) {
       for (const auto& [sym, child] : ct.child_types) {
         if (s.productive_[child]) allowed[sym] = true;
       }
-      bool nonempty =
-          ct.dfa ? automata::LanguageNonEmptyFiltered(*ct.dfa, allowed)
-                 : automata::NfaLanguageNonEmptyFiltered(ct.lazy_dfa->nfa(),
-                                                         allowed);
-      if (nonempty) {
+      if (automata::LanguageNonEmptyFiltered(*ct.dfa, allowed)) {
         s.productive_[t] = true;
         changed = true;
       }
@@ -296,19 +285,6 @@ Result<Schema> SchemaBuilder::Build(const BuildOptions& options) {
         if (s.productive_[child]) {
           allowed[sym] = true;
         }
-      }
-      if (ct.lazy_dfa) {
-        // The lazy rewrite: disallowed symbols route to the sink during
-        // row expansion. Symbols outside Σ_τ have no NFA transitions and
-        // land in the sink either way, so one mask covers both cases.
-        for (const auto& [sym, child] : ct.child_types) {
-          if (!s.productive_[child]) {
-            any_disallowed = true;
-            break;
-          }
-        }
-        if (any_disallowed) ct.lazy_dfa->RestrictTo(std::move(allowed));
-        continue;
       }
       const automata::Dfa& old = *ct.dfa;
       for (automata::StateId q = 0; q < old.num_states() && !any_disallowed;

@@ -20,6 +20,7 @@
 #ifndef XMLREVAL_SCHEMA_ABSTRACT_SCHEMA_H_
 #define XMLREVAL_SCHEMA_ABSTRACT_SCHEMA_H_
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -28,10 +29,11 @@
 
 #include "automata/alphabet.h"
 #include "automata/dfa.h"
-#include "automata/lazy_dfa.h"
 #include "automata/regex.h"
 #include "common/result.h"
+#include "common/string_util.h"
 #include "schema/simple_types.h"
+#include "xml/sax.h"
 #include "xml/tree.h"
 
 namespace xmlreval::schema {
@@ -59,14 +61,7 @@ struct ComplexType {
   /// Compiled, minimized, complete DFA for L(regexp_τ) over the full shared
   /// alphabet (labels outside Σ_τ lead to a rejecting sink). After the
   /// productivity rewrite this recognizes L(regexp_τ) ∩ ProdLabels_τ*.
-  /// Unset when the type compiled lazily — see `lazy_dfa`.
   std::optional<automata::Dfa> dfa;
-  /// Lazily-determinized content model, used instead of `dfa` when the
-  /// builder ran with lazy_dfa_min_alphabet and the alphabet crossed the
-  /// threshold. Shared so Schema copies reuse one memoized construction;
-  /// consumers needing a full table call Schema::ContentDfa, which
-  /// materializes (and minimizes) on first use.
-  std::shared_ptr<automata::LazyDfa> lazy_dfa;
   /// types_τ : Σ_τ → T.
   std::unordered_map<Symbol, TypeId> child_types;
   /// Dense types_τ table filled by SchemaBuilder::Build(): indexed by
@@ -77,8 +72,10 @@ struct ComplexType {
   /// Σ_τ for DFA-preset content models (empty when regexp-derived).
   std::vector<Symbol> preset_symbols;
   /// Declared attributes by name. Undeclared attributes are invalid;
-  /// required ones must be present.
-  std::unordered_map<std::string, AttributeDecl> attributes;
+  /// required ones must be present. Looked up by string_view.
+  std::unordered_map<std::string, AttributeDecl, StringViewHash,
+                     std::equal_to<>>
+      attributes;
   /// Open attribute policy: any attribute (of any value) is permitted and
   /// none is required. DTD-derived schemas are open (ATTLIST constraints
   /// are not modeled); XSD types are closed unless they carry
@@ -89,9 +86,13 @@ struct ComplexType {
 
 /// Checks an element's attributes against a complex type's declarations:
 /// every attribute must be declared with a valid value, every required
-/// attribute must be present. Open types accept anything.
+/// attribute must be present. Open types accept anything. Names and values
+/// are read in place, from the DOM's attributes or from the parser's
+/// per-tag views alike.
 Status ValidateTypeAttributes(const ComplexType& type,
                               const std::vector<xml::Attribute>& attributes);
+Status ValidateTypeAttributes(const ComplexType& type,
+                              const std::vector<xml::SaxAttribute>& attributes);
 
 class Schema {
  public:
@@ -109,25 +110,12 @@ class Schema {
   const SimpleType& simple_type(TypeId t) const { return *simple_[t]; }
   const ComplexType& complex_type(TypeId t) const { return complex_[t]; }
 
-  /// The compiled content-model DFA of a complex type. For lazily-compiled
-  /// types this forces (and memoizes) full determinization + minimization.
-  const automata::Dfa& ContentDfa(TypeId t) const {
-    const ComplexType& ct = complex_[t];
-    return ct.dfa ? *ct.dfa : ct.lazy_dfa->Materialized();
-  }
+  /// The compiled content-model DFA of a complex type.
+  const automata::Dfa& ContentDfa(TypeId t) const { return *complex_[t].dfa; }
 
-  /// The lazy content model of a complex type, or nullptr when the type was
-  /// compiled eagerly. Validators step this directly (never materializing)
-  /// when present.
-  const automata::LazyDfa* LazyContentDfa(TypeId t) const {
-    return complex_[t].lazy_dfa.get();
-  }
-
-  /// ε ∈ L(regexp_τ)? Cheap for both eager and lazy types (never forces
-  /// materialization).
+  /// ε ∈ L(regexp_τ)?
   bool ContentAcceptsEmpty(TypeId t) const {
-    const ComplexType& ct = complex_[t];
-    return ct.dfa ? ct.dfa->AcceptsEmpty() : ct.lazy_dfa->AcceptsEmpty();
+    return complex_[t].dfa->AcceptsEmpty();
   }
 
   /// types_τ(σ), or kInvalidType when σ ∉ Σ_τ. A dense array read — the
@@ -210,12 +198,6 @@ class SchemaBuilder {
     /// Apply the §3 rewrite restricting each content model to productive
     /// labels. When off, non-productive types are only flagged.
     bool prune_nonproductive = true;
-    /// When non-zero and the shared alphabet has at least this many symbols
-    /// at Build() time, regex content models are determinized LAZILY: the
-    /// Glushkov NFA is kept and subset-construction rows are expanded only
-    /// as the validator reaches them (automata/lazy_dfa.h). 0 disables.
-    /// Preset-DFA content models (<all> groups) always compile eagerly.
-    size_t lazy_dfa_min_alphabet = 0;
   };
 
   /// Validates the declarations, compiles all content models, runs the

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "automata/alphabet.h"
+#include "common/string_util.h"
 #include "xml/tree.h"
 
 namespace xmlreval::xml {
@@ -61,19 +62,12 @@ class LabelIndex {
   size_t TotalElements() const { return total_elements_; }
 
  private:
-  struct StringHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-
   static const std::vector<NodeId>& kEmpty() {
     static const std::vector<NodeId> empty;
     return empty;
   }
 
-  std::unordered_map<std::string, std::vector<NodeId>, StringHash,
+  std::unordered_map<std::string, std::vector<NodeId>, StringViewHash,
                      std::equal_to<>>
       index_;
   // Dense symbol → instances buckets; empty when the document was unbound.

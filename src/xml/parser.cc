@@ -346,12 +346,7 @@ class EventParser {
           if (open_tags_.empty()) {
             return cursor_.Error("CDATA outside root element");
           }
-          if (options_.coalesce_text) {
-            pending_text_.append(data);
-          } else {
-            RETURN_IF_ERROR(FlushText());
-            RETURN_IF_ERROR(handler_->Characters(data));
-          }
+          pending_text_.append(data);
           continue;
         }
         if (cursor_.StartsWith("<?")) {

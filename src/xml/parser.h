@@ -28,8 +28,6 @@ struct ParseOptions {
   /// documents (everything in the paper's evaluation) use indentation
   /// whitespace that has no place in the content model, so this defaults on.
   bool skip_whitespace_text = true;
-  /// Merge adjacent text runs (including CDATA) into single text nodes.
-  bool coalesce_text = true;
   /// When set, the produced Document is bound to this alphabet and element
   /// labels are interned as they are parsed (Document::BindInterning), so
   /// validators run string-free from the first visit. The caller must be the

@@ -17,11 +17,10 @@
 // processing instructions of any length cross chunk boundaries with O(1)
 // state (rolling terminator match), never through the carry buffer.
 //
-// Differences from ParseXmlEvents, by design:
-//   * Text is always coalesced (one Characters event per run, regardless
-//     of chunking); ParseOptions::coalesce_text is ignored.
-//   * Parse errors report absolute byte offsets, not line:column —
-//     tracking lines would touch every byte, defeating skip-scanning.
+// Like ParseXmlEvents, PushParser coalesces text: one Characters event per
+// run, regardless of chunking. By design, parse errors report absolute
+// byte offsets, not line:column — tracking lines would touch every byte,
+// defeating skip-scanning.
 //
 // SkipCurrentSubtree() is the hook for schema-cast subsumption skipping
 // (core/streaming_validator.h): called from within StartElement, it stops
@@ -48,7 +47,7 @@ namespace xmlreval::xml {
 class PushParser {
  public:
   /// `handler` must outlive the parser. Honors
-  /// ParseOptions::skip_whitespace_text; text is always coalesced.
+  /// ParseOptions::skip_whitespace_text.
   explicit PushParser(SaxHandler* handler, const ParseOptions& options = {});
 
   PushParser(const PushParser&) = delete;

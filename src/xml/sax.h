@@ -1,16 +1,17 @@
 // Event-based (SAX-style) XML parsing.
 //
-// ParseXmlEvents drives a SaxHandler through the document without
-// materializing a tree; xml::ParseXml is a thin DOM-building handler on
-// top of it. The streaming validators (core/streaming_validator.h) consume
-// these events directly, which is what realizes the paper's memory claim —
-// "the memory requirement of our algorithm does not vary with the size of
-// the document, but depends solely on the sizes of the schemas" (§7) —
-// plus O(document depth) for the element stack.
+// ParseXmlEvents drives a SaxHandler through a whole in-memory document
+// without materializing a tree; xml::ParseXml is a thin DOM-building
+// handler on top of it. The same handler interface receives the chunked
+// events of xml::PushParser, which is what the streaming cast session
+// (core/streaming_validator.h) consumes to realize the paper's memory
+// claim — "the memory requirement of our algorithm does not vary with the
+// size of the document, but depends solely on the sizes of the schemas"
+// (§7) — plus O(document depth) for the element stack.
 //
 // Handlers may abort the parse by returning a non-OK Status from any
-// callback; the status is propagated to the ParseXmlEvents caller
-// unchanged (used by validators to stop at the first early reject).
+// callback; the status is propagated to the caller unchanged (used by
+// validators to stop at the first early reject).
 
 #ifndef XMLREVAL_XML_SAX_H_
 #define XMLREVAL_XML_SAX_H_
@@ -54,9 +55,9 @@ class SaxHandler {
     return Status::OK();
   }
 
-  /// Character data (entity references already decoded). Consecutive runs
-  /// are coalesced per ParseOptions; whitespace-only runs are dropped when
-  /// skip_whitespace_text is set.
+  /// Character data (entity references already decoded). Consecutive runs,
+  /// CDATA sections included, are coalesced into one event; whitespace-only
+  /// runs are dropped when skip_whitespace_text is set.
   virtual Status Characters(std::string_view text) {
     (void)text;
     return Status::OK();

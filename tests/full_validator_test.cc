@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+
 #include "schema/dtd_parser.h"
 #include "tests/test_util.h"
 #include "xml/parser.h"
@@ -139,6 +142,40 @@ TEST_F(FullValidatorTest, ValidateSubtree) {
   ValidationReport wrong =
       validator.ValidateSubtree(*doc, book, *schema_->FindType("magazine"));
   EXPECT_FALSE(wrong.valid);
+}
+
+// The walk keeps its pending nodes on the heap: a 200,000-level chain
+// would overflow an 8 MiB native stack at one frame per level.
+TEST(FullValidatorDepthTest, DeepChainValidatesWithoutRecursion) {
+  auto alphabet = std::make_shared<Alphabet>();
+  auto parsed = ParseDtd("<!ELEMENT n (n?)>", alphabet);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  Schema schema = std::move(parsed).value();
+  FullValidator validator(&schema);
+  constexpr size_t kDepth = 200000;
+  auto chain = [&](std::string_view bottom) {
+    std::string text;
+    text.reserve(kDepth * 7 + bottom.size());
+    for (size_t i = 0; i < kDepth; ++i) text += "<n>";
+    text += bottom;
+    for (size_t i = 0; i < kDepth; ++i) text += "</n>";
+    return text;
+  };
+
+  auto valid = xml::ParseXml(chain(""));
+  ASSERT_TRUE(valid.ok()) << valid.status().ToString();
+  ValidationReport r = validator.Validate(*valid);
+  EXPECT_TRUE(r.valid) << r.violation;
+  EXPECT_EQ(r.counters.elements_visited, kDepth);
+  EXPECT_EQ(r.counters.dfa_steps, kDepth - 1);
+
+  // A violation at the bottom is blamed at its full-depth path.
+  auto invalid = xml::ParseXml(chain("<x/>"));
+  ASSERT_TRUE(invalid.ok()) << invalid.status().ToString();
+  ValidationReport bad = validator.Validate(*invalid);
+  EXPECT_FALSE(bad.valid);
+  EXPECT_NE(bad.violation.find("'x'"), std::string::npos) << bad.violation;
+  EXPECT_EQ(bad.violation_path.depth(), kDepth);
 }
 
 }  // namespace

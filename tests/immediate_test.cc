@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "tests/test_util.h"
 
 namespace xmlreval::automata {
@@ -98,8 +101,11 @@ TEST(ImmediatePairTest, VerdictMatchesMembershipForSourceStrings) {
 // iff all extensions (up to a length covering the product's diameter)
 // agree on the outcome "in L(a) → in L(b)" (accept) or "not in L(a)∩L(b)"
 // (reject).
+// The parameter holds std::string rather than const char*: gtest prints a
+// char pointer inside a pair with its address, which would put a per-run
+// address into the registered test name.
 class OptimalityProperty
-    : public ::testing::TestWithParam<std::pair<const char*, const char*>> {};
+    : public ::testing::TestWithParam<std::pair<std::string, std::string>> {};
 
 TEST_P(OptimalityProperty, DecidesAtTheEarliestSafePoint) {
   Alphabet alphabet;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "tests/test_util.h"
 
 namespace xmlreval::automata {
@@ -142,8 +145,11 @@ namespace {
 // StateContainmentTable implements Definition 8; Definition 7 is checked
 // directly by re-rooting each automaton at the pair's states and running
 // the language-containment test.
+// The parameter holds std::string rather than const char*: gtest prints a
+// char pointer inside a pair with its address, which would put a per-run
+// address into the registered test name.
 class Theorem4Equivalence
-    : public ::testing::TestWithParam<std::pair<const char*, const char*>> {};
+    : public ::testing::TestWithParam<std::pair<std::string, std::string>> {};
 
 TEST_P(Theorem4Equivalence, DefinitionsAgree) {
   Alphabet alphabet;

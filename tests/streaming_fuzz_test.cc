@@ -5,7 +5,9 @@
 // ways:
 //   1. Verdict parity with the DOM pipeline (ParseXml + CastValidator) —
 //      including truncated inputs, where the cut can land mid-skip, inside
-//      markup, or inside a text run.
+//      markup, or inside a text run — and, on valid documents, equal
+//      values of all nine work counters: both drivers run one kernel
+//      under one counting discipline.
 //   2. Determinism: a chunked session and a one-shot session must produce
 //      byte-for-byte identical reports (verdict, message, blamed path,
 //      counters, byte accounting) — chunk boundaries must never leak into
@@ -84,6 +86,7 @@ struct DomVerdict {
   bool parsed = false;
   bool valid = false;
   std::string violation;
+  ValidationCounters counters;
 };
 
 DomVerdict DomCast(const TypeRelations& relations, std::string_view text) {
@@ -95,7 +98,22 @@ DomVerdict DomCast(const TypeRelations& relations, std::string_view text) {
   ValidationReport report = cast.Validate(*doc);
   v.valid = report.valid;
   v.violation = report.violation;
+  v.counters = report.counters;
   return v;
+}
+
+void ExpectCountersEqual(const ValidationCounters& a,
+                         const ValidationCounters& b,
+                         const std::string& context) {
+  EXPECT_EQ(a.nodes_visited, b.nodes_visited) << context;
+  EXPECT_EQ(a.elements_visited, b.elements_visited) << context;
+  EXPECT_EQ(a.text_nodes_visited, b.text_nodes_visited) << context;
+  EXPECT_EQ(a.subtrees_skipped, b.subtrees_skipped) << context;
+  EXPECT_EQ(a.disjoint_rejects, b.disjoint_rejects) << context;
+  EXPECT_EQ(a.dfa_steps, b.dfa_steps) << context;
+  EXPECT_EQ(a.immediate_decisions, b.immediate_decisions) << context;
+  EXPECT_EQ(a.simple_checks, b.simple_checks) << context;
+  EXPECT_EQ(a.attr_checks, b.attr_checks) << context;
 }
 
 void ExpectReportsIdentical(const StreamingReport& a, const StreamingReport& b,
@@ -156,6 +174,9 @@ TEST_P(StreamingFuzz, SessionAgreesWithDomPipeline) {
         EXPECT_EQ(chunked.valid, dom.valid)
             << context << "\nstream: " << chunked.violation
             << "\ndom: " << dom.violation << "\ntext: " << text;
+        if (dom.valid) {
+          ExpectCountersEqual(chunked.counters, dom.counters, context);
+        }
       }
     }
   }

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string_view>
+
 #include "core/cast_validator.h"
-#include "core/full_validator.h"
 #include "schema/dtd_parser.h"
 #include "schema/xsd_parser.h"
 #include "tests/test_util.h"
@@ -38,62 +40,23 @@ struct Fixture {
   }
 };
 
-TEST(StreamingValidateTest, AcceptsAndRejectsLikeDomValidator) {
-  auto alphabet = std::make_shared<Alphabet>();
-  auto parsed = ParseDtd(
-      "<!ELEMENT r (a+, b?)><!ELEMENT a (#PCDATA)><!ELEMENT b (c)>"
-      "<!ELEMENT c EMPTY>",
-      alphabet);
-  ASSERT_TRUE(parsed.ok());
-  Schema schema = std::move(parsed).value();
-  FullValidator dom(&schema);
-
-  for (const char* text :
-       {"<r><a>1</a></r>", "<r><a>1</a><a>2</a><b><c/></b></r>", "<r/>",
-        "<r><b><c/></b></r>", "<r><a>1</a><b/></r>",
-        "<r><a><nested/></a></r>", "<r><a>1</a>stray</r>"}) {
-    StreamingReport streamed = StreamingValidate(text, schema);
-    auto doc = xml::ParseXml(text);
-    ASSERT_TRUE(doc.ok());
-    ValidationReport reference = dom.Validate(*doc);
-    EXPECT_EQ(streamed.valid, reference.valid) << text;
-    if (!streamed.valid) {
-      EXPECT_FALSE(streamed.violation.empty()) << text;
+// Feeds `text` to a session in `chunk`-byte pieces, stopping at the first
+// decided Feed; the report comes from Finish either way.
+StreamingReport FeedSession(const TypeRelations& relations,
+                            std::string_view text, size_t chunk) {
+  StreamingCastSession session(relations);
+  for (size_t pos = 0; pos < text.size(); pos += chunk) {
+    if (!session.Feed(text.substr(pos, std::min(chunk, text.size() - pos)))
+             .ok()) {
+      break;  // verdict decided early; Finish still yields the report
     }
   }
+  return session.Finish();
 }
 
-TEST(StreamingValidateTest, MalformedInputReportsParseError) {
-  auto alphabet = std::make_shared<Alphabet>();
-  auto parsed = ParseDtd("<!ELEMENT r EMPTY>", alphabet);
-  ASSERT_TRUE(parsed.ok());
-  Schema schema = std::move(parsed).value();
-  StreamingReport report = StreamingValidate("<r><broken</r>", schema);
-  EXPECT_FALSE(report.valid);
-  EXPECT_NE(report.violation.find("parse-error"), std::string::npos);
-}
-
-TEST(StreamingValidateTest, LiveFramesTrackDepthNotSize) {
-  auto alphabet = std::make_shared<Alphabet>();
-  auto parsed = ParseDtd("<!ELEMENT n (n*)>", alphabet);
-  ASSERT_TRUE(parsed.ok());
-  Schema schema = std::move(parsed).value();
-
-  // Wide: 1000 siblings, depth 2.
-  std::string wide = "<n>";
-  for (int i = 0; i < 1000; ++i) wide += "<n/>";
-  wide += "</n>";
-  StreamingReport wide_report = StreamingValidate(wide, schema);
-  ASSERT_TRUE(wide_report.valid) << wide_report.violation;
-  EXPECT_EQ(wide_report.max_live_frames, 2u);
-
-  // Deep: depth 1000.
-  std::string deep;
-  for (int i = 0; i < 1000; ++i) deep += "<n>";
-  for (int i = 0; i < 1000; ++i) deep += "</n>";
-  StreamingReport deep_report = StreamingValidate(deep, schema);
-  ASSERT_TRUE(deep_report.valid);
-  EXPECT_EQ(deep_report.max_live_frames, 1000u);
+StreamingReport FeedSession(const TypeRelations& relations,
+                            std::string_view text) {
+  return FeedSession(relations, text, std::max<size_t>(text.size(), 1));
 }
 
 TEST(StreamingCastTest, Experiment1IsConstantWork) {
@@ -107,7 +70,7 @@ TEST(StreamingCastTest, Experiment1IsConstantWork) {
     options.item_count = items;
     xml::Document doc = workload::GeneratePurchaseOrder(options);
     std::string text = xml::Serialize(doc);
-    StreamingReport report = StreamingCastValidate(text, *f.relations);
+    StreamingReport report = FeedSession(*f.relations, text);
     ASSERT_TRUE(report.valid) << report.violation;
     *out = report.counters.nodes_visited;
     // Streaming keeps at most the open path; far below the node count.
@@ -124,8 +87,7 @@ TEST(StreamingCastTest, RejectsMissingBillTo) {
   options.item_count = 5;
   options.include_bill_to = false;
   xml::Document doc = workload::GeneratePurchaseOrder(options);
-  StreamingReport report =
-      StreamingCastValidate(xml::Serialize(doc), *f.relations);
+  StreamingReport report = FeedSession(*f.relations, xml::Serialize(doc));
   EXPECT_FALSE(report.valid);
   EXPECT_NE(report.violation.find("content model"), std::string::npos);
 }
@@ -137,15 +99,14 @@ TEST(StreamingCastTest, Experiment2ChecksQuantities) {
   options.item_count = 30;
   options.quantity_max = 99;
   xml::Document doc = workload::GeneratePurchaseOrder(options);
-  StreamingReport ok = StreamingCastValidate(xml::Serialize(doc), *f.relations);
+  StreamingReport ok = FeedSession(*f.relations, xml::Serialize(doc));
   EXPECT_TRUE(ok.valid) << ok.violation;
   EXPECT_EQ(ok.counters.simple_checks, 30u);
 
   options.quantity_min = 150;
   options.quantity_max = 190;
   xml::Document bad = workload::GeneratePurchaseOrder(options);
-  StreamingReport rejected =
-      StreamingCastValidate(xml::Serialize(bad), *f.relations);
+  StreamingReport rejected = FeedSession(*f.relations, xml::Serialize(bad));
   EXPECT_FALSE(rejected.valid);
   EXPECT_NE(rejected.violation.find("maxExclusive"), std::string::npos);
 }
@@ -181,7 +142,7 @@ TEST_P(StreamingAgreement, MatchesDomCastValidator) {
     auto doc = workload::SampleDocument(source, options);
     ASSERT_TRUE(doc.ok());
     std::string text = xml::Serialize(*doc);
-    StreamingReport streamed = StreamingCastValidate(text, relations);
+    StreamingReport streamed = FeedSession(relations, text);
     ValidationReport reference = dom.Validate(*doc);
     EXPECT_EQ(streamed.valid, reference.valid)
         << "seed=" << seed << "\nstream: " << streamed.violation
@@ -231,22 +192,13 @@ struct SubsumedFixture {
   }
 };
 
-StreamingReport FeedSession(const TypeRelations& relations,
-                            std::string_view text, size_t chunk,
-                            const StreamingCastOptions& options = {}) {
-  StreamingCastSession session(relations, options);
-  for (size_t pos = 0; pos < text.size(); pos += chunk) {
-    if (!session.Feed(text.substr(pos, std::min(chunk, text.size() - pos)))
-             .ok()) {
-      break;  // verdict decided early; Finish still yields the report
-    }
-  }
-  return session.Finish();
-}
-
+// The legacy reference is the DOM pipeline, ParseXml + CastValidator: a
+// chunked session must match its verdict and visit counters, and the
+// one-shot session's report, at every chunk size.
 TEST(StreamingCastSessionTest, MatchesLegacyAcrossChunkSizes) {
   SubsumedFixture f;
   f.Load();
+  CastValidator dom(f.relations.get());
   const char* docs[] = {
       "<r/>",
       "<r><rec><k>1</k><v>2</v></rec></r>",
@@ -255,23 +207,40 @@ TEST(StreamingCastSessionTest, MatchesLegacyAcrossChunkSizes) {
       "<r><rec><k>1</k><v>2</v></rec>",      // truncated
   };
   for (const char* text : docs) {
-    StreamingReport legacy = StreamingCastValidate(text, *f.relations);
+    StreamingReport oneshot = FeedSession(*f.relations, text);
+    auto doc = xml::ParseXml(text);
+    if (doc.ok()) {
+      ValidationReport reference = dom.Validate(*doc);
+      EXPECT_EQ(oneshot.valid, reference.valid)
+          << text << "\nsession: " << oneshot.violation
+          << "\ndom: " << reference.violation;
+      if (reference.valid) {
+        EXPECT_EQ(oneshot.counters.nodes_visited,
+                  reference.counters.nodes_visited)
+            << text;
+        EXPECT_EQ(oneshot.counters.subtrees_skipped,
+                  reference.counters.subtrees_skipped)
+            << text;
+      }
+    } else {
+      EXPECT_FALSE(oneshot.valid) << text;
+    }
     for (size_t chunk : {size_t{1}, size_t{7}, size_t{4096}}) {
       StreamingReport session = FeedSession(*f.relations, text, chunk);
-      EXPECT_EQ(session.valid, legacy.valid)
+      EXPECT_EQ(session.valid, oneshot.valid)
           << text << " chunk=" << chunk << "\nsession: " << session.violation
-          << "\nlegacy: " << legacy.violation;
-      EXPECT_EQ(session.counters.nodes_visited, legacy.counters.nodes_visited)
+          << "\none-shot: " << oneshot.violation;
+      EXPECT_EQ(session.counters.nodes_visited, oneshot.counters.nodes_visited)
           << text << " chunk=" << chunk;
       EXPECT_EQ(session.counters.subtrees_skipped,
-                legacy.counters.subtrees_skipped)
+                oneshot.counters.subtrees_skipped)
           << text << " chunk=" << chunk;
-      EXPECT_EQ(session.max_live_frames, legacy.max_live_frames)
+      EXPECT_EQ(session.max_live_frames, oneshot.max_live_frames)
           << text << " chunk=" << chunk;
       // Early aborts stop feeding mid-document; otherwise every byte is
       // accounted for.
       EXPECT_LE(session.bytes_fed, std::string_view(text).size());
-      if (legacy.valid) {
+      if (oneshot.valid) {
         EXPECT_EQ(session.bytes_fed, std::string_view(text).size());
       }
     }
@@ -294,15 +263,39 @@ TEST(StreamingCastSessionTest, SubsumedSubtreesAreByteSkipped) {
   EXPECT_LT(with_skip.bytes_skipped, text.size());
   // Skipped subtrees never open frames: only the root is ever live.
   EXPECT_EQ(with_skip.max_live_frames, 1u);
+}
 
-  StreamingCastOptions no_skip;
-  no_skip.skip_scan = false;
-  StreamingReport tokenized = FeedSession(*f.relations, text, 97, no_skip);
-  ASSERT_TRUE(tokenized.valid) << tokenized.violation;
-  EXPECT_EQ(tokenized.bytes_skipped, 0u);
-  EXPECT_EQ(tokenized.counters.subtrees_skipped, 50u);
-  EXPECT_EQ(tokenized.max_live_frames, with_skip.max_live_frames);
-  EXPECT_EQ(tokenized.counters.nodes_visited, with_skip.counters.nodes_visited);
+TEST(StreamingCastSessionTest, LiveFramesTrackDepthNotSize) {
+  // The target drops the <pad> sibling the source allows, so (n, n) is not
+  // subsumed and every n opens a frame while it is open.
+  auto alphabet = std::make_shared<Alphabet>();
+  schema::DtdParseOptions roots;
+  roots.roots = {"n"};
+  auto s = ParseDtd("<!ELEMENT n (n*, pad*)><!ELEMENT pad EMPTY>", alphabet,
+                    roots);
+  ASSERT_TRUE(s.ok()) << s.status().ToString();
+  Schema source = std::move(s).value();
+  auto t = ParseDtd("<!ELEMENT n (n*)><!ELEMENT pad EMPTY>", alphabet, roots);
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  Schema target = std::move(t).value();
+  ASSERT_OK_AND_ASSIGN(TypeRelations relations,
+                       TypeRelations::Compute(&source, &target));
+
+  // Wide: 1000 siblings, depth 2.
+  std::string wide = "<n>";
+  for (int i = 0; i < 1000; ++i) wide += "<n/>";
+  wide += "</n>";
+  StreamingReport wide_report = FeedSession(relations, wide, 64);
+  ASSERT_TRUE(wide_report.valid) << wide_report.violation;
+  EXPECT_EQ(wide_report.max_live_frames, 2u);
+
+  // Deep: depth 1000.
+  std::string deep;
+  for (int i = 0; i < 1000; ++i) deep += "<n>";
+  for (int i = 0; i < 1000; ++i) deep += "</n>";
+  StreamingReport deep_report = FeedSession(relations, deep, 64);
+  ASSERT_TRUE(deep_report.valid) << deep_report.violation;
+  EXPECT_EQ(deep_report.max_live_frames, 1000u);
 }
 
 TEST(StreamingCastSessionTest, MalformedBytesInsideSkippedSubtreeRejected) {
