@@ -4,8 +4,12 @@
 // CDATA sections, character references (decimal and hex), the five
 // predefined entities, attributes, and full well-formedness checking
 // (tag matching, attribute uniqueness, single root). A DOCTYPE declaration
-// is tolerated and its internal subset skipped — DTDs are parsed separately
-// by schema::ParseDtd, which reuses this file's low-level lexing helpers.
+// is tolerated and skipped; its internal subset reaches SAX handlers as
+// the Doctype event but is not kept in the Document.
+//
+// ParseXml is a DOM-building SaxHandler over ParseXmlEvents, which feeds
+// the whole buffer to xml::PushParser (push_parser.h), the library's one
+// XML tokenizer.
 //
 // Unsupported (out of the paper's scope, rejected with kUnsupported):
 // user-defined general entities in content.
@@ -14,7 +18,6 @@
 #define XMLREVAL_XML_PARSER_H_
 
 #include <memory>
-#include <string>
 #include <string_view>
 
 #include "automata/alphabet.h"
@@ -38,17 +41,6 @@ struct ParseOptions {
 /// Parses an XML document from `input`. Errors carry 1-based line:column.
 Result<Document> ParseXml(std::string_view input,
                           const ParseOptions& options = {});
-
-/// Parses and returns the document plus the extracted DOCTYPE internal
-/// subset (empty when absent); used by the DTD front end for documents that
-/// inline their DTD.
-struct ParsedWithDoctype {
-  Document document;
-  std::string doctype_name;      // name in <!DOCTYPE name ...>
-  std::string internal_subset;   // text between '[' and ']'
-};
-Result<ParsedWithDoctype> ParseXmlWithDoctype(std::string_view input,
-                                              const ParseOptions& options = {});
 
 }  // namespace xmlreval::xml
 

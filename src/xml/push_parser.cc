@@ -11,8 +11,9 @@ namespace {
 
 constexpr std::string_view kCDataOpen = "<![CDATA[";
 constexpr std::string_view kDoctypeOpen = "<!DOCTYPE";
-// A numeric character reference longer than this is out of range before
-// it terminates; an entity name longer than this is never one we decode.
+// A numeric character reference carried longer than this (its leading
+// zeros collapsed to one) is out of range; an entity name longer than this
+// is never one we decode, so the rest of it is not carried.
 constexpr size_t kMaxNumericRef = 16;   // "&#x" + digits
 constexpr size_t kMaxEntityName = 256;  // "&" + name
 
@@ -41,11 +42,12 @@ PushParser::PushParser(SaxHandler* handler, const ParseOptions& options)
   XMLREVAL_CHECK(handler != nullptr, "PushParser requires a handler");
 }
 
-uint64_t PushParser::Offset() const {
-  return end_offset_ - static_cast<uint64_t>(end_ - p_);
+uint64_t PushParser::OffsetOf(const char* q) const {
+  return end_offset_ - static_cast<uint64_t>(end_ - q);
 }
 
 Status PushParser::ErrorAt(uint64_t offset, std::string_view message) {
+  error_offset_ = offset;
   return Status::ParseError(StrCat("XML parse error at byte ",
                                    std::to_string(offset), ": ", message));
 }
@@ -53,6 +55,24 @@ Status PushParser::ErrorAt(uint64_t offset, std::string_view message) {
 void PushParser::CarryByte(char c) {
   carry_ += c;
   peak_carry_ = std::max<uint64_t>(peak_carry_, carry_.size());
+}
+
+void PushParser::CarryBytes(const char* begin, const char* end) {
+  carry_.append(begin, static_cast<size_t>(end - begin));
+  peak_carry_ = std::max<uint64_t>(peak_carry_, carry_.size());
+}
+
+std::string_view PushParser::TakeConstruct(const char* end) {
+  std::string_view construct;
+  if (carry_offset_ >= chunk_offset_) {  // began in this chunk
+    const char* begin = end_ - (end_offset_ - carry_offset_);
+    construct = std::string_view(begin, static_cast<size_t>(end - begin));
+  } else {
+    CarryBytes(p_, end);
+    construct = carry_;
+  }
+  p_ = end;
+  return construct;
 }
 
 void PushParser::CarryStart(char c) {
@@ -72,6 +92,7 @@ Status PushParser::Feed(std::string_view chunk) {
   if (finished_) {
     return Status::InvalidArgument("PushParser::Feed after Finish");
   }
+  chunk_offset_ = bytes_fed_;
   bytes_fed_ += chunk.size();
   p_ = chunk.data();
   end_ = chunk.data() + chunk.size();
@@ -174,11 +195,11 @@ Status PushParser::RunContentText() {
     CarryStart('<');
     ++p_;
     sub_ = Sub::kMarkupLt;
-  } else {
-    CarryStart('&');
-    ++p_;
-    sub_ = Sub::kCharRef;
+    return p_ < end_ ? RunMarkupLt() : Status::OK();
   }
+  CarryStart('&');
+  ++p_;
+  sub_ = Sub::kCharRef;
   return Status::OK();
 }
 
@@ -219,29 +240,29 @@ Status PushParser::RunMarkupLt() {
   if (mode_ == Mode::kEpilog) {
     return ErrorAt(carry_offset_, "content after document element");
   }
+  // Tags are classified without consuming: the Acc states lex them in
+  // place from here.
   if (c == '/') {
-    CarryByte(c);
-    ++p_;
     sub_ = Sub::kEndTagAcc;
-    return Status::OK();
+    return RunEndTagAcc();
   }
   if (IsNameStartChar(c)) {
     if (mode_ == Mode::kProlog) mode_ = Mode::kContent;  // the root arrives
-    CarryByte(c);
-    ++p_;
     tag_quote_ = 0;
     sub_ = Sub::kStartTagAcc;
-    return Status::OK();
+    return RunStartTagAcc();
   }
   return ErrorAt(carry_offset_ + 1, "expected XML name");
 }
 
 Status PushParser::RunMarkupBang() {
+  auto bad = [&] {
+    return mode_ == Mode::kEpilog
+               ? ErrorAt(carry_offset_, "content after document element")
+               : ErrorAt(carry_offset_ + 1, "expected XML name");
+  };
   while (p_ < end_) {
     char c = *p_;
-    Status bad = mode_ == Mode::kEpilog
-                     ? ErrorAt(carry_offset_, "content after document element")
-                     : ErrorAt(carry_offset_ + 1, "expected XML name");
     if (carry_.size() == 2) {  // "<!"
       if (c == '-') {
         CarryByte(c);
@@ -258,17 +279,17 @@ Status PushParser::RunMarkupBang() {
         ++p_;
         continue;
       }
-      return bad;
+      return bad();
     }
     if (carry_[2] == '-') {  // "<!-"
-      if (c != '-') return bad;
+      if (c != '-') return bad();
       ++p_;
       carry_.clear();
       sub_ = Sub::kComment;
       return Status::OK();
     }
     if (carry_[2] == '[') {  // matching "<![CDATA["
-      if (c != kCDataOpen[carry_.size()]) return bad;
+      if (c != kCDataOpen[carry_.size()]) return bad();
       CarryByte(c);
       ++p_;
       if (carry_.size() == kCDataOpen.size()) {
@@ -282,7 +303,7 @@ Status PushParser::RunMarkupBang() {
       continue;
     }
     // Matching "<!DOCTYPE" (prolog only; 'D' is rejected above elsewhere).
-    if (c != kDoctypeOpen[carry_.size()]) return bad;
+    if (c != kDoctypeOpen[carry_.size()]) return bad();
     CarryByte(c);
     ++p_;
     if (carry_.size() == kDoctypeOpen.size()) {
@@ -295,36 +316,33 @@ Status PushParser::RunMarkupBang() {
   return Status::OK();
 }
 
+// Tag lexing scans for the closing '>' without copying. Only a tag still
+// open at the end of the chunk moves its bytes into carry_.
 Status PushParser::RunStartTagAcc() {
-  while (p_ < end_) {
-    char c = *p_;
+  for (const char* q = p_; q < end_; ++q) {
+    const char c = *q;
     if (tag_quote_ != 0) {
-      if (c == '<') return Error("'<' not allowed in attribute value");
+      if (c == '<') {
+        return ErrorAt(OffsetOf(q), "'<' not allowed in attribute value");
+      }
       if (c == tag_quote_) tag_quote_ = 0;
-      CarryByte(c);
-      ++p_;
       continue;
     }
-    if (c == '>') {
-      CarryByte(c);
-      ++p_;
-      return HandleStartTag();
-    }
-    if (c == '<') return Error("expected XML name");
+    if (c == '>') return HandleStartTag(TakeConstruct(q + 1), carry_offset_);
+    if (c == '<') return ErrorAt(OffsetOf(q), "expected XML name");
     if (c == '"' || c == '\'') tag_quote_ = c;
-    CarryByte(c);
-    ++p_;
   }
+  CarryBytes(p_, end_);
+  p_ = end_;
   return Status::OK();
 }
 
 Status PushParser::RunEndTagAcc() {
-  while (p_ < end_) {
-    char c = *p_;
-    CarryByte(c);
-    ++p_;
-    if (c == '>') return HandleEndTag();
-  }
+  const size_t n = static_cast<size_t>(end_ - p_);
+  const char* gt = static_cast<const char*>(std::memchr(p_, '>', n));
+  if (gt != nullptr) return HandleEndTag(TakeConstruct(gt + 1), carry_offset_);
+  CarryBytes(p_, end_);
+  p_ = end_;
   return Status::OK();
 }
 
@@ -336,8 +354,8 @@ Status PushParser::RunDoctypeAcc() {
     if (doctype_quote_ != 0) {
       if (c == doctype_quote_) doctype_quote_ = 0;
     } else if (doctype_depth_ > 0) {
-      // Mirrors EventParser: the internal subset is scanned for bracket
-      // nesting only; quotes are not special inside it.
+      // The internal subset is scanned for bracket nesting only; quotes are
+      // not special inside it.
       if (c == '[') ++doctype_depth_;
       else if (c == ']') --doctype_depth_;
     } else if (c == '[') {
@@ -355,6 +373,7 @@ Status PushParser::RunCharRef() {
   while (p_ < end_) {
     char c = *p_;
     if (c == ';') {
+      CarryByte(c);
       ++p_;
       return HandleCharRef();
     }
@@ -370,13 +389,23 @@ Status PushParser::RunCharRef() {
       if (!hex_marker && !digit) {
         return Error("invalid character reference");
       }
+      // Leading zeros add nothing to the value: keep one, so "&#00...065;"
+      // of any length decodes while the carry stays bounded.
+      if (c == '0' && carry_.back() == '0' &&
+          carry_.size() == (hex ? 4u : 3u)) {
+        ++p_;
+        continue;
+      }
       if (carry_.size() >= kMaxNumericRef) {
         return Error("character reference out of range");
       }
     } else {
       if (!IsNameChar(c)) return Error("unterminated entity reference");
       if (carry_.size() >= kMaxEntityName) {
-        return Error("unterminated entity reference");
+        // Never a predefined entity: scan on for its ';' uncarried; the
+        // unsupported-entity message then quotes a truncated name.
+        ++p_;
+        continue;
       }
     }
     CarryByte(c);
@@ -386,41 +415,15 @@ Status PushParser::RunCharRef() {
 }
 
 Status PushParser::HandleCharRef() {
-  // carry_ is "&" + body, ';' not included. Bodies were validated
-  // char-by-char in RunCharRef, so only completeness checks remain.
-  std::string_view body(carry_);
-  body.remove_prefix(1);
-  if (body.empty()) return Error("expected XML name");
-  if (body[0] == '#') {
-    bool hex = body.size() > 1 && body[1] == 'x';
-    std::string_view digits = body.substr(hex ? 2 : 1);
-    if (digits.empty()) return Error("unterminated character reference");
-    uint32_t code = 0;
-    for (char c : digits) {
-      uint32_t digit;
-      if (c >= '0' && c <= '9') digit = c - '0';
-      else if (c >= 'a' && c <= 'f') digit = 10 + (c - 'a');
-      else digit = 10 + (c - 'A');
-      code = code * (hex ? 16 : 10) + digit;
-      if (code > 0x10FFFF) {
-        return Error("character reference out of range");
-      }
-    }
-    AppendUtf8(code, &pending_text_);
-  } else if (body == "amp") {
-    pending_text_ += '&';
-  } else if (body == "lt") {
-    pending_text_ += '<';
-  } else if (body == "gt") {
-    pending_text_ += '>';
-  } else if (body == "quot") {
-    pending_text_ += '"';
-  } else if (body == "apos") {
-    pending_text_ += '\'';
-  } else {
-    return Status::Unsupported(StrCat("general entity '&", body,
-                                      ";' is not supported"));
-  }
+  // carry_ is "&" ... ";", each byte already checked by RunCharRef; the
+  // decoder is the one attribute values use. A number's leading zeros
+  // that RunCharRef did not carry precede every byte the decoder can
+  // blame, so they shift its offsets by their count. (The uncarried tail
+  // of an over-long name only shortens the unsupported-entity message.)
+  const uint64_t uncarried = Offset() - carry_offset_ - carry_.size();
+  size_t pos = 1;
+  RETURN_IF_ERROR(AppendReferenceAt(carry_, &pos, &pending_text_,
+                                    carry_offset_ + uncarried));
   carry_.clear();
   sub_ = Sub::kText;
   return Status::OK();
@@ -565,13 +568,10 @@ Status PushParser::AppendReferenceAt(std::string_view text, size_t* pos,
   return Status::OK();
 }
 
-Status PushParser::HandleStartTag() {
-  // carry_ holds the whole tag, '<' through '>' inclusive, quotes balanced.
-  const std::string_view tag(carry_);
+Status PushParser::HandleStartTag(std::string_view tag, uint64_t offset) {
+  // `tag` is the whole tag, '<' through '>' inclusive, quotes balanced.
   size_t i = 1;
-  auto err = [&](std::string_view msg) {
-    return ErrorAt(carry_offset_ + i, msg);
-  };
+  auto err = [&](std::string_view msg) { return ErrorAt(offset + i, msg); };
   size_t name_begin = i;
   while (i < tag.size() && IsNameChar(tag[i])) ++i;
   std::string_view name = tag.substr(name_begin, i - name_begin);
@@ -611,7 +611,7 @@ Status PushParser::HandleStartTag() {
       if (c == '<') return err("'<' not allowed in attribute value");
       if (c == '&') {
         ++i;
-        RETURN_IF_ERROR(AppendReferenceAt(tag, &i, &value, carry_offset_));
+        RETURN_IF_ERROR(AppendReferenceAt(tag, &i, &value, offset));
       } else {
         value += c;
         ++i;
@@ -645,32 +645,30 @@ Status PushParser::HandleStartTag() {
     // A skipped self-closing element has no subtree: only its EndElement
     // is suppressed.
     if (!skip) RETURN_IF_ERROR(handler_->EndElement(name));
-    if (open_tags_.empty()) mode_ = Mode::kEpilog;  // it was the root
+    if (open_tag_begins_.empty()) mode_ = Mode::kEpilog;  // it was the root
     carry_.clear();
     sub_ = Sub::kText;
     return Status::OK();
   }
   if (skip) {
-    skip_is_root_ = open_tags_.empty();
+    skip_is_root_ = open_tag_begins_.empty();
     skipper_.Begin();
     mode_ = Mode::kSkip;
     sub_ = Sub::kText;
     carry_.clear();
     return Status::OK();
   }
-  open_tags_.emplace_back(name);
+  open_tag_begins_.push_back(open_tag_names_.size());
+  open_tag_names_.append(name);
   carry_.clear();
   sub_ = Sub::kText;
   return Status::OK();
 }
 
-Status PushParser::HandleEndTag() {
-  // carry_ is "</" ... ">", '>' being the final byte.
-  const std::string_view tag(carry_);
+Status PushParser::HandleEndTag(std::string_view tag, uint64_t offset) {
+  // `tag` is "</" ... ">", '>' being the final byte.
   size_t i = 2;
-  auto err = [&](std::string_view msg) {
-    return ErrorAt(carry_offset_ + i, msg);
-  };
+  auto err = [&](std::string_view msg) { return ErrorAt(offset + i, msg); };
   if (i >= tag.size() || !IsNameStartChar(tag[i])) {
     return err("expected XML name");
   }
@@ -681,17 +679,18 @@ Status PushParser::HandleEndTag() {
   if (i + 1 != tag.size() || tag[i] != '>') return err("expected '>'");
 
   RETURN_IF_ERROR(EmitText());
-  if (open_tags_.empty()) {
-    return ErrorAt(carry_offset_, "unmatched closing tag");
+  if (open_tag_begins_.empty()) {
+    return ErrorAt(offset, "unmatched closing tag");
   }
-  if (open_tags_.back() != name) {
-    return ErrorAt(carry_offset_,
+  if (InnermostOpenTag() != name) {
+    return ErrorAt(offset,
                    StrCat("mismatched closing tag '</", name,
-                          ">'; open element is '", open_tags_.back(), "'"));
+                          ">'; open element is '", InnermostOpenTag(), "'"));
   }
   RETURN_IF_ERROR(handler_->EndElement(name));
-  open_tags_.pop_back();
-  if (open_tags_.empty()) mode_ = Mode::kEpilog;
+  open_tag_names_.resize(open_tag_begins_.back());
+  open_tag_begins_.pop_back();
+  if (open_tag_begins_.empty()) mode_ = Mode::kEpilog;
   carry_.clear();
   sub_ = Sub::kText;
   return Status::OK();
@@ -763,12 +762,12 @@ Status PushParser::HandleDoctype() {
 
 Status PushParser::EmitText() {
   if (pending_text_.empty()) return Status::OK();
-  std::string text;
-  text.swap(pending_text_);
-  if (options_.skip_whitespace_text && IsAllXmlWhitespace(text)) {
-    return Status::OK();
+  Status status = Status::OK();
+  if (!options_.skip_whitespace_text || !IsAllXmlWhitespace(pending_text_)) {
+    status = handler_->Characters(pending_text_);
   }
-  return handler_->Characters(text);
+  pending_text_.clear();  // keeps its capacity for the next text run
+  return status;
 }
 
 Status PushParser::Finish() {
@@ -785,7 +784,7 @@ Status PushParser::Finish() {
           status = ErrorAt(at, "expected root element");
         } else if (mode_ == Mode::kContent) {
           status = ErrorAt(at, StrCat("unexpected end of input inside '",
-                                      open_tags_.back(), "'"));
+                                      InnermostOpenTag(), "'"));
         }
         // kEpilog: complete document.
         break;

@@ -1,26 +1,31 @@
-// Incremental (push-mode) XML event parsing.
+// Incremental (push-mode) XML event parsing: the XML tokenizer.
 //
-// PushParser is the chunked counterpart of ParseXmlEvents: callers Feed()
-// byte chunks as they arrive (pipe, socket, mmap window) and the parser
-// emits the same SAX events with the same well-formedness checks — the
-// document is never resident as one buffer. Live state is
+// PushParser is the one XML lexer in the library. Callers Feed() byte
+// chunks as they arrive (pipe, socket, mmap window) and the parser emits
+// SAX events with full well-formedness checks — the document is never
+// resident as one buffer. ParseXmlEvents and ParseXml (sax.h, parser.h)
+// are one Feed of the whole buffer followed by Finish(). Live state is
 //
 //   * the open-element tag stack                    — O(document depth)
-//   * one carry buffer for a construct split across
-//     a chunk boundary (a tag, a DOCTYPE, a char
-//     reference)                                    — bounded by the
+//   * one carry buffer for a tag split across a
+//     chunk boundary, a DOCTYPE or a character
+//     reference                                     — bounded by the
 //                                                     longest single tag
 //   * the pending text of the current text node     — bounded by the
 //                                                     largest text node
 //
-// none of which grows with document size. Comments, CDATA sections and
-// processing instructions of any length cross chunk boundaries with O(1)
-// state (rolling terminator match), never through the carry buffer.
+// none of which grows with document size. A start or end tag that lies
+// wholly inside the chunk being fed is lexed in place, as a view of the
+// chunk; only a tag that straddles a chunk boundary is copied into the
+// carry buffer, and both reach the same tag handler. Comments, CDATA
+// sections and processing instructions of any length cross chunk
+// boundaries with O(1) state (rolling terminator match), never through
+// the carry buffer.
 //
-// Like ParseXmlEvents, PushParser coalesces text: one Characters event per
-// run, regardless of chunking. By design, parse errors report absolute
-// byte offsets, not line:column — tracking lines would touch every byte,
-// defeating skip-scanning.
+// Text is coalesced: one Characters event per run, regardless of
+// chunking. Parse errors report absolute byte offsets, not line:column —
+// tracking lines would touch every byte, defeating skip-scanning; the
+// whole-buffer entry points turn the offset into line:column on failure.
 //
 // SkipCurrentSubtree() is the hook for schema-cast subsumption skipping
 // (core/streaming_validator.h): called from within StartElement, it stops
@@ -33,6 +38,7 @@
 #define XMLREVAL_XML_PUSH_PARSER_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -72,8 +78,11 @@ class PushParser {
   uint64_t bytes_skipped() const { return bytes_skipped_; }
   /// High-water mark of the chunk-boundary carry buffer.
   uint64_t peak_carry_bytes() const { return peak_carry_; }
+  /// Absolute offset the latched well-formedness error names; nullopt
+  /// when there is none (still OK, or a handler's own status).
+  std::optional<uint64_t> error_offset() const { return error_offset_; }
   /// Currently open elements (excludes a subtree being skipped).
-  size_t depth() const { return open_tags_.size(); }
+  size_t depth() const { return open_tag_begins_.size(); }
 
  private:
   enum class Mode : uint8_t {
@@ -87,8 +96,8 @@ class PushParser {
     kText,         // character data (content) / whitespace (prolog, epilog)
     kMarkupLt,     // carry == "<": classify the construct
     kMarkupBang,   // carry == "<!...": comment / CDATA / DOCTYPE dispatch
-    kStartTagAcc,  // accumulating a start tag into carry (quote-aware)
-    kEndTagAcc,    // accumulating an end tag into carry
+    kStartTagAcc,  // lexing a start tag (quote-aware)
+    kEndTagAcc,    // lexing an end tag
     kDoctypeAcc,   // accumulating a DOCTYPE into carry (bracket/quote-aware)
     kCharRef,      // accumulating an '&...;' reference into carry
     kComment,      // inside "<!--": scan for '-'
@@ -116,22 +125,34 @@ class PushParser {
   Status RunCData();
   Status RunPi();
 
-  // Complete-construct handlers over carry_ (mirror EventParser).
-  Status HandleStartTag();
-  Status HandleEndTag();
+  // Complete-construct handlers. A tag arrives as its text, '<' through
+  // '>', at absolute `offset`: a view of the chunk, or of carry_ when it
+  // straddled a boundary. DOCTYPEs and character references use carry_.
+  Status HandleStartTag(std::string_view tag, uint64_t offset);
+  Status HandleEndTag(std::string_view tag, uint64_t offset);
   Status HandleDoctype();
   Status HandleCharRef();
 
   Status EmitText();
-  /// Decodes one reference; `text[*pos]` is the char after '&'. Mirrors
-  /// EventParser::AppendReference over in-memory tag text.
+  /// Decodes one reference; `text[*pos]` is the char after '&' and
+  /// `text_offset` the absolute offset of `text[0]`.
   Status AppendReferenceAt(std::string_view text, size_t* pos,
                            std::string* out, uint64_t text_offset);
 
   void CarryByte(char c);
+  void CarryBytes(const char* begin, const char* end);
   void CarryStart(char c);
+  /// Ends the construct whose bytes so far are carry_ at `end` (in the
+  /// chunk) and returns its whole text: in place when it began in this
+  /// chunk, else completed in carry_. Advances p_ to `end`.
+  std::string_view TakeConstruct(const char* end);
 
-  uint64_t Offset() const;  // absolute offset of the next unread byte
+  std::string_view InnermostOpenTag() const {
+    return std::string_view(open_tag_names_).substr(open_tag_begins_.back());
+  }
+
+  uint64_t OffsetOf(const char* q) const;  // absolute offset of chunk byte q
+  uint64_t Offset() const { return OffsetOf(p_); }  // of the next unread byte
   Status ErrorAt(uint64_t offset, std::string_view message);
   Status Error(std::string_view message) { return ErrorAt(Offset(), message); }
 
@@ -144,7 +165,8 @@ class PushParser {
   // The view being consumed by the current Feed() call.
   const char* p_ = nullptr;
   const char* end_ = nullptr;
-  uint64_t end_offset_ = 0;  // absolute offset of end_
+  uint64_t chunk_offset_ = 0;  // absolute offset of the chunk's first byte
+  uint64_t end_offset_ = 0;    // absolute offset of end_
 
   std::string carry_;
   uint64_t carry_offset_ = 0;  // absolute offset of carry_[0]
@@ -153,7 +175,10 @@ class PushParser {
   int doctype_depth_ = 0;      // '[' nesting inside kDoctypeAcc
 
   std::string pending_text_;
-  std::vector<std::string> open_tags_;
+  // Names of the open elements, back to back in one buffer; each entry of
+  // open_tag_begins_ is where one starts.
+  std::string open_tag_names_;
+  std::vector<size_t> open_tag_begins_;
   SkipScanner skipper_;
   bool skip_is_root_ = false;
 
@@ -164,6 +189,7 @@ class PushParser {
   bool finished_ = false;
   bool failed_ = false;
   Status final_status_;  // latched first error, or the Finish() result
+  std::optional<uint64_t> error_offset_;
 
   uint64_t bytes_fed_ = 0;
   uint64_t bytes_skipped_ = 0;

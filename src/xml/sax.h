@@ -1,13 +1,14 @@
 // Event-based (SAX-style) XML parsing.
 //
-// ParseXmlEvents drives a SaxHandler through a whole in-memory document
-// without materializing a tree; xml::ParseXml is a thin DOM-building
-// handler on top of it. The same handler interface receives the chunked
-// events of xml::PushParser, which is what the streaming cast session
-// (core/streaming_validator.h) consumes to realize the paper's memory
-// claim — "the memory requirement of our algorithm does not vary with the
-// size of the document, but depends solely on the sizes of the schemas"
-// (§7) — plus O(document depth) for the element stack.
+// A SaxHandler receives parse events from xml::PushParser, the library's
+// one XML tokenizer (push_parser.h). ParseXmlEvents drives a handler
+// through a whole in-memory document by feeding PushParser the whole
+// buffer; xml::ParseXml is a thin DOM-building handler on top of it. The
+// streaming cast session (core/streaming_validator.h) feeds PushParser
+// chunk by chunk instead, which realizes the paper's memory claim — "the
+// memory requirement of our algorithm does not vary with the size of the
+// document, but depends solely on the sizes of the schemas" (§7) — plus
+// O(document depth) for the element stack.
 //
 // Handlers may abort the parse by returning a non-OK Status from any
 // callback; the status is propagated to the caller unchanged (used by
@@ -64,8 +65,9 @@ class SaxHandler {
   }
 };
 
-/// Streams `input` through `handler`. Well-formedness errors and handler
-/// failures both surface as the returned Status.
+/// Streams `input` through `handler`: one PushParser Feed of the whole
+/// buffer, then Finish. Well-formedness errors (with 1-based line:column)
+/// and handler failures both surface as the returned Status.
 Status ParseXmlEvents(std::string_view input, SaxHandler* handler,
                       const ParseOptions& options = {});
 

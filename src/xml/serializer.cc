@@ -1,5 +1,7 @@
 #include "xml/serializer.h"
 
+#include <vector>
+
 #include "common/string_util.h"
 
 namespace xmlreval::xml {
@@ -13,53 +15,67 @@ bool HasElementChild(const Document& doc, NodeId id) {
   return false;
 }
 
-void SerializeNode(const Document& doc, NodeId id, int depth,
+// Writes the subtree rooted at `root`. Iterative: the open elements live
+// on a heap stack, so document depth is unbounded.
+void SerializeNode(const Document& doc, NodeId root,
                    const SerializeOptions& options, std::string* out) {
+  struct Frame {
+    NodeId element;
+    NodeId next_child;
+    int depth;
+    // Elements with element children get pretty indentation; elements with
+    // only text content stay on one line so round-tripping does not inject
+    // whitespace into simple values.
+    bool structured;
+  };
+  std::vector<Frame> stack;
+
   auto indent = [&](int d) {
     if (!options.pretty) return;
     out->push_back('\n');
     out->append(static_cast<size_t>(d) * options.indent_width, ' ');
   };
-
-  if (doc.IsText(id)) {
-    out->append(EscapeXmlText(doc.text(id)));
-    return;
-  }
-
-  if (depth > 0 || options.pretty) {
-    if (depth > 0) indent(depth);
-  }
-  out->push_back('<');
-  out->append(doc.label(id));
-  for (const Attribute& a : doc.attributes(id)) {
-    out->push_back(' ');
-    out->append(a.name);
-    out->append("=\"");
-    out->append(EscapeXmlText(a.value));
-    out->push_back('"');
-  }
-  if (!doc.HasChildren(id)) {
-    out->append("/>");
-    return;
-  }
-  out->push_back('>');
-
-  // Elements with element children get pretty indentation; elements with
-  // only text content stay on one line so round-tripping does not inject
-  // whitespace into simple values.
-  bool structured = HasElementChild(doc, id);
-  for (NodeId c = doc.first_child(id); c != kInvalidNode;
-       c = doc.next_sibling(c)) {
-    if (doc.IsText(c)) {
-      out->append(EscapeXmlText(doc.text(c)));
-    } else {
-      SerializeNode(doc, c, structured ? depth + 1 : 0, options, out);
+  // Writes a text node whole, or an element's start tag; an element with
+  // children is left open on the stack.
+  auto open = [&](NodeId id, int depth) {
+    if (doc.IsText(id)) {
+      out->append(EscapeXmlText(doc.text(id)));
+      return;
     }
+    if (depth > 0) indent(depth);
+    out->push_back('<');
+    out->append(doc.label(id));
+    for (const Attribute& a : doc.attributes(id)) {
+      out->push_back(' ');
+      out->append(a.name);
+      out->append("=\"");
+      out->append(EscapeXmlText(a.value));
+      out->push_back('"');
+    }
+    if (!doc.HasChildren(id)) {
+      out->append("/>");
+      return;
+    }
+    out->push_back('>');
+    stack.push_back(
+        Frame{id, doc.first_child(id), depth, HasElementChild(doc, id)});
+  };
+
+  open(root, 0);
+  while (!stack.empty()) {
+    Frame& top = stack.back();
+    if (top.next_child != kInvalidNode) {
+      NodeId child = top.next_child;
+      top.next_child = doc.next_sibling(child);
+      open(child, top.depth + 1);  // only a structured parent has elements
+      continue;
+    }
+    if (top.structured) indent(top.depth);
+    out->append("</");
+    out->append(doc.label(top.element));
+    out->push_back('>');
+    stack.pop_back();
   }
-  if (structured) indent(depth);
-  out->append("</");
-  out->append(doc.label(id));
-  out->push_back('>');
 }
 
 }  // namespace
@@ -71,7 +87,7 @@ std::string Serialize(const Document& doc, const SerializeOptions& options) {
   }
   if (doc.has_root()) {
     if (!out.empty() && !options.pretty) out.push_back('\n');
-    SerializeNode(doc, doc.root(), 0, options, &out);
+    SerializeNode(doc, doc.root(), options, &out);
   }
   if (options.pretty) out.push_back('\n');
   return out;
@@ -80,7 +96,7 @@ std::string Serialize(const Document& doc, const SerializeOptions& options) {
 std::string SerializeSubtree(const Document& doc, NodeId node,
                              const SerializeOptions& options) {
   std::string out;
-  SerializeNode(doc, node, 0, options, &out);
+  SerializeNode(doc, node, options, &out);
   return out;
 }
 

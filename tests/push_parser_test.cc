@@ -68,20 +68,12 @@ PushOutcome RunPush(std::string_view doc, size_t chunk,
 
 const size_t kChunks[] = {1, 2, 3, 5, 17, 4096};
 
-// For every chunking, the push parser must agree with the one-shot event
-// parser on events and success, and with its own one-shot run byte for
-// byte (including the error message, whose offsets must not depend on
-// chunk boundaries).
-void ExpectParity(std::string_view doc, const ParseOptions& options = {}) {
-  Recorder reference;
-  Status ref_status = ParseXmlEvents(doc, &reference, options);
+// For every chunking, the push parser must agree with its own one-shot run
+// byte for byte: events, status code and error message, whose offsets must
+// not depend on chunk boundaries. Returns the one-shot outcome.
+PushOutcome ExpectChunkingInvariant(std::string_view doc,
+                                    const ParseOptions& options) {
   PushOutcome oneshot = RunPush(doc, doc.size() ? doc.size() : 1, options);
-  EXPECT_EQ(oneshot.status.ok(), ref_status.ok()) << doc;
-  if (!ref_status.ok()) {
-    EXPECT_EQ(oneshot.status.code(), ref_status.code()) << doc;
-  } else {
-    EXPECT_EQ(oneshot.events, reference.events) << doc;
-  }
   for (size_t chunk : kChunks) {
     PushOutcome chunked = RunPush(doc, chunk, options);
     EXPECT_EQ(chunked.status.code(), oneshot.status.code())
@@ -90,56 +82,102 @@ void ExpectParity(std::string_view doc, const ParseOptions& options = {}) {
         << doc << " chunk=" << chunk;
     EXPECT_EQ(chunked.events, oneshot.events) << doc << " chunk=" << chunk;
   }
+  return oneshot;
 }
 
+// The expected events and status codes below are pinned literals, recorded
+// from the recursive-descent tokenizer that ParseXmlEvents ran on before it
+// became one whole-buffer PushParser Feed; PushParser (every chunking) and
+// ParseXmlEvents must both reproduce them.
+void ExpectEvents(std::string_view doc,
+                  const std::vector<std::string>& expected,
+                  const ParseOptions& options = {}) {
+  PushOutcome oneshot = ExpectChunkingInvariant(doc, options);
+  EXPECT_TRUE(oneshot.status.ok()) << doc << ": " << oneshot.status;
+  EXPECT_EQ(oneshot.events, expected) << doc;
+  Recorder whole;
+  Status whole_status = ParseXmlEvents(doc, &whole, options);
+  EXPECT_TRUE(whole_status.ok()) << doc << ": " << whole_status;
+  EXPECT_EQ(whole.events, expected) << doc;
+}
+
+void ExpectRejected(std::string_view doc, StatusCode expected) {
+  PushOutcome oneshot = ExpectChunkingInvariant(doc, {});
+  EXPECT_EQ(oneshot.status.code(), expected) << doc;
+  Recorder whole;
+  EXPECT_EQ(ParseXmlEvents(doc, &whole).code(), expected) << doc;
+}
+
+using Events = std::vector<std::string>;
+
 TEST(PushParserTest, ValidCorpusParity) {
-  const std::string_view docs[] = {
-      "<a/>",
-      "<a x=\"1\" y='two'><b>hi</b><c/></a>",
-      "<?xml version=\"1.0\"?>\n<!-- head --><root>text</root>\n<!-- tail -->",
-      "<!DOCTYPE note [<!ELEMENT note EMPTY>]><note/>",
-      "<!DOCTYPE r SYSTEM \"some>file.dtd\"><r/>",
-      "<a>one<!-- gap -->two</a>",
-      "<a>pre<![CDATA[ <raw> & stuff ]]>post</a>",
-      "<a>x<?pi data?>y</a>",
-      "<a>&lt;&amp;&gt;&quot;&apos;</a>",
-      "<a>&#65;&#x42;&#x1F600;</a>",
-      "<a attr=\"a&amp;b&#33;\">v</a>",
-      "<a>\n  <b/>\n</a>",
-      "<deep><deep><deep>x</deep></deep></deep>",
-      "<a><![CDATA[]]]></a>",
-      "<a><![CDATA[a]]b]]>c</a>",
-  };
-  for (std::string_view doc : docs) ExpectParity(doc);
+  ExpectEvents("<a/>", Events{"+a", "-a"});
+  ExpectEvents("<a x=\"1\" y='two'><b>hi</b><c/></a>",
+               Events{"+a x=1 y=two", "+b", "t:hi", "-b", "+c", "-c", "-a"});
+  ExpectEvents(
+      "<?xml version=\"1.0\"?>\n<!-- head --><root>text</root>\n"
+      "<!-- tail -->",
+      Events{"+root", "t:text", "-root"});
+  ExpectEvents("<!DOCTYPE note [<!ELEMENT note EMPTY>]><note/>",
+               Events{"d:note[<!ELEMENT note EMPTY>]", "+note", "-note"});
+  ExpectEvents("<!DOCTYPE r SYSTEM \"some>file.dtd\"><r/>",
+               Events{"d:r[]", "+r", "-r"});
+  ExpectEvents("<!DOCTYPE html PUBLIC \"-//W3C\" \"http://x\"><html/>",
+               Events{"d:html[]", "+html", "-html"});
+  ExpectEvents("<a>one<!-- gap -->two</a>", Events{"+a", "t:onetwo", "-a"});
+  ExpectEvents("<a>pre<![CDATA[ <raw> & stuff ]]>post</a>",
+               Events{"+a", "t:pre <raw> & stuff post", "-a"});
+  ExpectEvents("<a>x<?pi data?>y</a>", Events{"+a", "t:xy", "-a"});
+  ExpectEvents("<a>&lt;&amp;&gt;&quot;&apos;</a>",
+               Events{"+a", "t:<&>\"'", "-a"});
+  ExpectEvents("<a>&#65;&#x42;&#x1F600;</a>",
+               Events{"+a", "t:AB\xF0\x9F\x98\x80", "-a"});
+  // Leading zeros do not count against a reference's length bound.
+  ExpectEvents("<a>&#000000000000000065;&#x00000000000000042;</a>",
+               Events{"+a", "t:AB", "-a"});
+  ExpectEvents("<a attr=\"a&amp;b&#33;\">v</a>",
+               Events{"+a attr=a&b!", "t:v", "-a"});
+  ExpectEvents("<a>\n  <b/>\n</a>", Events{"+a", "+b", "-b", "-a"});
+  ExpectEvents("<deep><deep><deep>x</deep></deep></deep>",
+               Events{"+deep", "+deep", "+deep", "t:x", "-deep", "-deep",
+                      "-deep"});
+  ExpectEvents("<a><![CDATA[]]]></a>", Events{"+a", "t:]", "-a"});
+  ExpectEvents("<a><![CDATA[a]]b]]>c</a>", Events{"+a", "t:a]]bc", "-a"});
 }
 
 TEST(PushParserTest, WhitespaceModeParity) {
   ParseOptions keep;
   keep.skip_whitespace_text = false;
-  ExpectParity("<a>\n<b/> </a>", keep);
-  ExpectParity("<a> mixed <b/>\n\t</a>", keep);
+  ExpectEvents("<a>\n<b/> </a>", Events{"+a", "t:\n", "+b", "-b", "t: ", "-a"},
+               keep);
+  ExpectEvents("<a> mixed <b/>\n\t</a>",
+               Events{"+a", "t: mixed ", "+b", "-b", "t:\n\t", "-a"}, keep);
 }
 
 TEST(PushParserTest, MalformedCorpusParity) {
-  const std::string_view docs[] = {
-      "<a><b></a></b>",
-      "<a>text",
-      "<a x=\"1\" x=\"2\"/>",
-      "<a x=\"<\"/>",
-      "<a></a><b/>",
-      "<a>tail</a>junk",
-      "<a><!-- -- --></a>",
-      "<a>&undefined;</a>",
-      "<a>&#xZZ;</a>",
-      "<a>&#;</a>",
-      "<a><3/></a>",
-      "text only",
-      "<a x=1/>",
-      "<a x></a>",
-      "</a>",
-      "<a/><!-- ok --><![CDATA[no]]>",
-  };
-  for (std::string_view doc : docs) ExpectParity(doc);
+  const StatusCode kParse = StatusCode::kParseError;
+  ExpectRejected("<a><b></a></b>", kParse);
+  ExpectRejected("<a>text", kParse);
+  ExpectRejected("<a x=\"1\" x=\"2\"/>", kParse);
+  ExpectRejected("<a x=\"<\"/>", kParse);
+  ExpectRejected("<a></a><b/>", kParse);
+  ExpectRejected("<a>tail</a>junk", kParse);
+  ExpectRejected("<a><!-- -- --></a>", kParse);
+  ExpectRejected("<a>&undefined;</a>", StatusCode::kUnsupported);
+  ExpectRejected("<a>&" + std::string(300, 'e') + ";</a>",
+                 StatusCode::kUnsupported);
+  ExpectRejected("<a>&" + std::string(300, 'e') + "</a>", kParse);
+  ExpectRejected("<a>&#xZZ;</a>", kParse);
+  ExpectRejected("<a>&#;</a>", kParse);
+  ExpectRejected("<a><3/></a>", kParse);
+  ExpectRejected("text only", kParse);
+  ExpectRejected("<a x=1/>", kParse);
+  ExpectRejected("<a x></a>", kParse);
+  ExpectRejected("</a>", kParse);
+  ExpectRejected("<a/><!-- ok --><![CDATA[no]]>", kParse);
+  ExpectRejected("<a>&#1114112;</a>", kParse);
+  ExpectRejected("<a>&#x110000;</a>", kParse);
+  ExpectRejected("<a>&#00000000000000001114112;</a>", kParse);
 }
 
 TEST(PushParserTest, EveryPrefixOfValidDocFails) {
@@ -171,6 +209,21 @@ TEST(PushParserTest, CarryStaysBoundedOnTinyChunks) {
   PushOutcome out = RunPush(doc, 1);
   EXPECT_OK(out.status);
   EXPECT_LE(out.peak_carry, 64u);
+}
+
+TEST(PushParserTest, TagsInsideTheChunkAreLexedInPlace) {
+  // A tag that lies wholly inside the chunk being fed reaches the handler
+  // as a view of that chunk: one Feed of the whole document carries no
+  // more than the '<' that opens each piece of markup.
+  std::string doc = "<root version=\"2\">";
+  for (int i = 0; i < 50; ++i) {
+    doc += "<item key=\"value\" n='" + std::to_string(i) + "'>text</item>";
+  }
+  doc += "</root>";
+  PushOutcome out = RunPush(doc, doc.size());
+  EXPECT_OK(out.status);
+  EXPECT_EQ(out.events.size(), 152u);
+  EXPECT_LE(out.peak_carry, 1u);
 }
 
 // Handler that skips every element named `skip`.

@@ -71,5 +71,25 @@ TEST(SerializerTest, SubtreeSerialization) {
   EXPECT_EQ(SerializeSubtree(doc, b, options), "<b><c>1</c></b>");
 }
 
+TEST(SerializerTest, DeepChainSerializesWithoutRecursion) {
+  // Deeper than a recursive serializer's native stack allows; the parser
+  // already handles it, so serialize -> reparse must too.
+  constexpr int kDepth = 200000;
+  std::string text;
+  for (int i = 0; i < kDepth; ++i) text += "<d>";
+  text += "x";
+  for (int i = 0; i < kDepth; ++i) text += "</d>";
+  ASSERT_OK_AND_ASSIGN(Document doc, ParseXml(text));
+  SerializeOptions options;
+  options.pretty = false;
+  std::string serialized = Serialize(doc, options);
+  const std::string expected =
+      "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n" + text;
+  EXPECT_EQ(serialized.size(), expected.size());
+  EXPECT_TRUE(serialized == expected);  // not EXPECT_EQ: 1.4 MB operands
+  ASSERT_OK_AND_ASSIGN(Document reparsed, ParseXml(serialized));
+  EXPECT_EQ(reparsed.NodeCount(), doc.NodeCount());
+}
+
 }  // namespace
 }  // namespace xmlreval::xml

@@ -109,25 +109,6 @@ TEST(XmlParserTest, ErrorsCarryLineAndColumn) {
       << result.status().message();
 }
 
-TEST(XmlParserTest, ExtractsDoctypeInternalSubset) {
-  ASSERT_OK_AND_ASSIGN(
-      ParsedWithDoctype parsed,
-      ParseXmlWithDoctype("<!DOCTYPE note [<!ELEMENT note (#PCDATA)>]>"
-                          "<note>x</note>"));
-  EXPECT_EQ(parsed.doctype_name, "note");
-  EXPECT_EQ(parsed.internal_subset, "<!ELEMENT note (#PCDATA)>");
-  EXPECT_EQ(parsed.document.label(parsed.document.root()), "note");
-}
-
-TEST(XmlParserTest, SkipsExternalDoctype) {
-  ASSERT_OK_AND_ASSIGN(
-      ParsedWithDoctype parsed,
-      ParseXmlWithDoctype(
-          "<!DOCTYPE html PUBLIC \"-//W3C\" \"http://x\"><html/>"));
-  EXPECT_EQ(parsed.doctype_name, "html");
-  EXPECT_TRUE(parsed.internal_subset.empty());
-}
-
 TEST(XmlParserTest, DeepNestingDoesNotOverflow) {
   // The parser keeps an explicit stack; 100k depth must not crash.
   std::string text;
