@@ -17,7 +17,6 @@
 #include <dirent.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -109,16 +108,9 @@ uint64_t TimeToFirstValidation(const std::string& dir, bool expect_warm,
           .count());
 }
 
-double MedianNs(std::vector<uint64_t> samples) {
-  std::nth_element(samples.begin(), samples.begin() + samples.size() / 2,
-                   samples.end());
-  return double(samples[samples.size() / 2]);
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  bench::ConsumeForceFlag(&argc, argv);
+int main() {
   constexpr int kReps = 15;
 
   workload::PoGeneratorOptions doc_options;
@@ -126,13 +118,13 @@ int main(int argc, char** argv) {
   xml::Document doc = workload::GeneratePurchaseOrder(doc_options);
 
   // Baseline: no plan cache at all.
-  std::vector<uint64_t> no_cache;
+  std::vector<double> no_cache;
   for (int i = 0; i < kReps; ++i) {
     no_cache.push_back(TimeToFirstValidation("", false, doc, nullptr));
   }
 
   // Cold: every rep compiles into a FRESH empty dir (includes the save).
-  std::vector<uint64_t> cold;
+  std::vector<double> cold;
   for (int i = 0; i < kReps; ++i) {
     std::string dir = MakeTempDir();
     cold.push_back(TimeToFirstValidation(dir, false, doc, nullptr));
@@ -142,7 +134,7 @@ int main(int argc, char** argv) {
   // Warm: one dir precompiled once, then every rep mmaps the artifact.
   std::string warm_dir = MakeTempDir();
   (void)TimeToFirstValidation(warm_dir, false, doc, nullptr);  // populate
-  std::vector<uint64_t> warm;
+  std::vector<double> warm;
   service::PlanCache::Stats warm_stats;
   for (int i = 0; i < kReps; ++i) {
     warm.push_back(TimeToFirstValidation(warm_dir, true, doc, &warm_stats));
@@ -164,9 +156,9 @@ int main(int argc, char** argv) {
   }
   RemoveDirRecursive(warm_dir);
 
-  const double no_cache_ns = MedianNs(no_cache);
-  const double cold_ns = MedianNs(cold);
-  const double warm_ns = MedianNs(warm);
+  const double no_cache_ns = bench::Median(no_cache);
+  const double cold_ns = bench::Median(cold);
+  const double warm_ns = bench::Median(warm);
   const double warm_speedup = warm_ns > 0 ? cold_ns / warm_ns : 0;
 
   std::printf("Cold start: time-to-first-validation, Experiment 2 pair\n");

@@ -16,8 +16,6 @@
 // (CI containers are often 1-2 cores; par_t1-within-10%-of-serial is the
 // machine-independent assertion, checked by the perf-smoke job).
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -38,30 +36,9 @@ namespace {
 
 using namespace xmlreval;
 
-constexpr size_t kWarmups = 3;
-constexpr size_t kRuns = 9;  // odd: the median is a real sample
-
-template <typename F>
-double MedianNs(F&& run) {
-  for (size_t i = 0; i < kWarmups; ++i) run();
-  std::vector<double> samples;
-  samples.reserve(kRuns);
-  for (size_t i = 0; i < kRuns; ++i) {
-    auto t0 = std::chrono::steady_clock::now();
-    run();
-    auto t1 = std::chrono::steady_clock::now();
-    samples.push_back(
-        std::chrono::duration<double, std::nano>(t1 - t0).count());
-  }
-  std::nth_element(samples.begin(), samples.begin() + kRuns / 2,
-                   samples.end());
-  return samples[kRuns / 2];
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::ConsumeForceFlag(&argc, argv);
   // --trace-out F: after the timed grid, run ONE traced 4-thread
   // validation and write its Chrome trace-event JSON to F. Kept out of
   // the timed loops so tracing overhead never touches the numbers; the
@@ -113,7 +90,7 @@ int main(int argc, char** argv) {
     }
     const std::string tag = "_items_" + std::to_string(items);
 
-    double serial_ns = MedianNs([&] {
+    double serial_ns = bench::MedianNs([&] {
       core::ValidationReport report = serial.Validate(doc);
       if (!report.valid) {
         std::fprintf(stderr, "unexpected invalid document\n");
@@ -127,7 +104,7 @@ int main(int argc, char** argv) {
       common::Executor executor(
           common::Executor::Options{.threads = threads});
       core::ParallelCastValidator parallel(pair.relations.get(), &executor);
-      double par_ns = MedianNs([&] {
+      double par_ns = bench::MedianNs([&] {
         core::ValidationReport report = parallel.Validate(doc);
         if (!report.valid) {
           std::fprintf(stderr, "unexpected invalid document\n");
@@ -163,7 +140,8 @@ int main(int argc, char** argv) {
       core::ParallelCastValidator parallel(pair.relations.get(), &executor,
                                            parallel_options);
       core::ParallelCastValidator::RunStats stats;
-      double ns = MedianNs([&] { (void)parallel.Validate(doc, &stats); });
+      double ns =
+          bench::MedianNs([&] { (void)parallel.Validate(doc, &stats); });
       const std::string key =
           threshold == 0 ? std::string("adaptive")
                          : std::to_string(threshold);

@@ -1,15 +1,15 @@
 // Shared fixtures for the benchmark binaries: the paper's schema pairs,
-// preprocessed once per process.
+// preprocessed once per process, and median wall-clock timing.
 
 #ifndef XMLREVAL_BENCH_BENCH_UTIL_H_
 #define XMLREVAL_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -78,67 +78,39 @@ inline SchemaPair& SingleSchemaPair() {
 /// The item-count grid of the paper's Table 2 / Figure 3.
 inline constexpr size_t kItemGrid[] = {2, 50, 100, 200, 500, 1000};
 
-/// Process-wide --force flag: lets WriteBenchJson overwrite an artifact
-/// recorded on a machine with a different core count (see ConsumeForceFlag).
-inline bool& ForceBenchOverwrite() {
-  static bool force = false;
-  return force;
+/// Wall time of one call of `run`, in nanoseconds.
+template <typename F>
+double TimeNs(F&& run) {
+  const auto start = std::chrono::steady_clock::now();
+  run();
+  const auto stop = std::chrono::steady_clock::now();
+  return std::chrono::duration<double, std::nano>(stop - start).count();
 }
 
-/// Strips every `--force` from argv (before google-benchmark's parser can
-/// reject it) and records it for WriteBenchJson's stale-artifact guard.
-inline void ConsumeForceFlag(int* argc, char** argv) {
-  int out = 1;
-  for (int i = 1; i < *argc; ++i) {
-    if (std::strcmp(argv[i], "--force") == 0) {
-      ForceBenchOverwrite() = true;
-    } else {
-      argv[out++] = argv[i];
-    }
-  }
-  *argc = out;
+/// The median of `samples`; with an odd count it is a real sample.
+inline double Median(std::vector<double> samples) {
+  std::nth_element(samples.begin(), samples.begin() + samples.size() / 2,
+                   samples.end());
+  return samples[samples.size() / 2];
 }
 
-/// `hardware_concurrency` recorded in an existing artifact at `path`, or
-/// -1 when the file (or the key) is absent.
-inline double RecordedHardwareConcurrency(const char* path) {
-  std::FILE* f = std::fopen(path, "r");
-  if (f == nullptr) return -1.0;
-  std::string contents;
-  char buffer[4096];
-  size_t n;
-  while ((n = std::fread(buffer, 1, sizeof(buffer), f)) > 0) {
-    contents.append(buffer, n);
-  }
-  std::fclose(f);
-  const char* key = "\"hardware_concurrency\":";
-  const char* at = std::strstr(contents.c_str(), key);
-  if (at == nullptr) return -1.0;
-  return std::strtod(at + std::strlen(key), nullptr);
+/// Median wall time of `runs` calls of `run`, after `warmups` untimed
+/// calls, in nanoseconds.
+template <typename F>
+double MedianNs(F&& run, size_t runs = 9, size_t warmups = 3) {
+  for (size_t i = 0; i < warmups; ++i) run();
+  std::vector<double> samples;
+  samples.reserve(runs);
+  for (size_t i = 0; i < runs; ++i) samples.push_back(TimeNs(run));
+  return Median(std::move(samples));
 }
 
 /// Writes a flat JSON object of numeric metrics (tagged with the benchmark
 /// name) so CI and scripts can consume results without scraping stdout.
 /// Emits {"bench": "<name>", "<key>": <value>, ...} to `path`.
-///
-/// Stale-artifact guard: committed artifacts are only comparable to reruns
-/// on the same machine shape, so an existing file recorded under a
-/// DIFFERENT hardware_concurrency is preserved — the write is refused with
-/// instructions to pass --force (see ConsumeForceFlag) to override.
 inline void WriteBenchJson(
     const char* path, const char* bench,
     const std::vector<std::pair<std::string, double>>& metrics) {
-  const double recorded = RecordedHardwareConcurrency(path);
-  const double current = double(std::thread::hardware_concurrency());
-  if (recorded >= 0 && recorded != current && !ForceBenchOverwrite()) {
-    std::fprintf(stderr,
-                 "REFUSING to overwrite %s: it records "
-                 "hardware_concurrency=%g but this machine has %g.\n"
-                 "Numbers from different machine shapes are not comparable; "
-                 "rerun with --force to overwrite anyway.\n",
-                 path, recorded, current);
-    return;
-  }
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path);

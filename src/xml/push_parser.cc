@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
+#include <unordered_set>
 
 #include "common/macros.h"
 #include "common/string_util.h"
@@ -16,6 +18,9 @@ constexpr std::string_view kDoctypeOpen = "<!DOCTYPE";
 // is never one we decode, so the rest of it is not carried.
 constexpr size_t kMaxNumericRef = 16;   // "&#x" + digits
 constexpr size_t kMaxEntityName = 256;  // "&" + name
+// A start tag with more attributes than this finds a duplicate name with a
+// hash set instead of comparing each name with every earlier one.
+constexpr size_t kLinearAttributeScan = 16;
 
 void AppendUtf8(uint32_t code, std::string* out) {
   if (code < 0x80) {
@@ -577,6 +582,8 @@ Status PushParser::HandleStartTag(std::string_view tag, uint64_t offset) {
   std::string_view name = tag.substr(name_begin, i - name_begin);
 
   attr_storage_.clear();
+  // The names seen so far, made once the tag outgrows the linear scan.
+  std::optional<std::unordered_set<std::string_view>> seen_names;
   bool self_closing = false;
   while (true) {
     while (i < tag.size() && IsXmlWhitespace(tag[i])) ++i;
@@ -594,7 +601,7 @@ Status PushParser::HandleStartTag(std::string_view tag, uint64_t offset) {
     if (!IsNameStartChar(tag[i])) return err("expected XML name");
     size_t attr_begin = i;
     while (i < tag.size() && IsNameChar(tag[i])) ++i;
-    std::string attr_name(tag.substr(attr_begin, i - attr_begin));
+    std::string_view attr_name = tag.substr(attr_begin, i - attr_begin);
     while (i < tag.size() && IsXmlWhitespace(tag[i])) ++i;
     if (i >= tag.size() || tag[i] != '=') {
       return err("expected '=' after attribute name");
@@ -619,12 +626,25 @@ Status PushParser::HandleStartTag(std::string_view tag, uint64_t offset) {
     }
     if (i >= tag.size()) return err("unterminated attribute value");
     ++i;  // closing quote
-    for (const auto& [existing, unused] : attr_storage_) {
-      if (existing == attr_name) {
-        return err(StrCat("duplicate attribute '", attr_name, "'"));
+    bool duplicate = false;
+    if (attr_storage_.size() < kLinearAttributeScan) {
+      for (const auto& [existing, unused] : attr_storage_) {
+        if (existing == attr_name) {
+          duplicate = true;
+          break;
+        }
       }
+    } else {
+      if (!seen_names) {
+        seen_names.emplace();
+        for (const auto& [existing, unused] : attr_storage_) {
+          seen_names->insert(existing);
+        }
+      }
+      duplicate = !seen_names->insert(attr_name).second;
     }
-    attr_storage_.emplace_back(std::move(attr_name), std::move(value));
+    if (duplicate) return err(StrCat("duplicate attribute '", attr_name, "'"));
+    attr_storage_.emplace_back(attr_name, std::move(value));
   }
 
   attr_views_.clear();

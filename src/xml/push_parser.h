@@ -195,7 +195,9 @@ class PushParser {
   uint64_t bytes_skipped_ = 0;
   uint64_t peak_carry_ = 0;
 
-  std::vector<std::pair<std::string, std::string>> attr_storage_;
+  // The current start tag's attributes: names are views of the tag text,
+  // values are decoded copies. Read only while HandleStartTag runs.
+  std::vector<std::pair<std::string_view, std::string>> attr_storage_;
   std::vector<SaxAttribute> attr_views_;
 };
 

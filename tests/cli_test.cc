@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <string>
 
 #include "common/json.h"
@@ -159,6 +160,37 @@ TEST_F(CliTest, CorrectWritesRepairedDocument) {
   EXPECT_NE(Output().find("1 repair(s)"), std::string::npos);
   // The repaired document passes a v2 validate.
   EXPECT_EQ(Run("validate " + P("v2.dtd") + " " + P("fixed.xml")), 0);
+}
+
+TEST_F(CliTest, CorrectNamesAttributeRepairs) {
+  // Source: a and b optional. Target: b required, a undeclared. The fix
+  // drops a and sets b, and each repair line names its kind.
+  WriteFile("attr-v1.xsd", R"(<schema>
+  <element name="r" type="R"/>
+  <complexType name="R">
+    <sequence><element name="x" type="string"/></sequence>
+    <attribute name="a" type="string" use="optional"/>
+    <attribute name="b" type="string" use="optional"/>
+  </complexType>
+</schema>)");
+  WriteFile("attr-v2.xsd", R"(<schema>
+  <element name="r" type="R"/>
+  <complexType name="R">
+    <sequence><element name="x" type="string"/></sequence>
+    <attribute name="b" type="string" use="required"/>
+  </complexType>
+</schema>)");
+  WriteFile("attr.xml", "<r a=\"1\"><x>v</x></r>");
+  EXPECT_EQ(Run("correct " + P("attr-v1.xsd") + " " + P("attr-v2.xsd") + " " +
+                P("attr.xml") + " -o " + P("attr-fixed.xml")),
+            0);
+  std::string out = Output();
+  EXPECT_NE(out.find("2 repair(s)"), std::string::npos) << out;
+  EXPECT_NE(out.find("del-attr"), std::string::npos) << out;
+  EXPECT_NE(out.find("set-attr"), std::string::npos) << out;
+  EXPECT_EQ(out.find("  ? "), std::string::npos) << out;
+  EXPECT_EQ(Run("validate " + P("attr-v2.xsd") + " " + P("attr-fixed.xml")),
+            0);
 }
 
 TEST_F(CliTest, SampleProducesValidDocument) {
@@ -351,25 +383,73 @@ class AnalyzeUpdatesCliTest : public CliTest {
     return "analyze-updates " + P("star.dtd") + " " + P("star.dtd") + " " +
            P("feed.xml");
   }
+
+  // Reconciles the --metrics-out dump of one analyze-updates run with its
+  // printed "N edit(s): S safe, F fatal, U unknown" line: one stream on
+  // `path` and, per verdict, as many ops as printed. Counters count in
+  // every build, so this holds with instrumentation compiled out too.
+  void ExpectMetricsReconcile(const std::string& out,
+                              const std::string& path) {
+    const size_t at = out.find(" edit(s): ");
+    ASSERT_NE(at, std::string::npos) << out;
+    const size_t newline = out.rfind('\n', at);
+    const size_t line = newline == std::string::npos ? 0 : newline + 1;
+    unsigned long edits = 0, safe = 0, fatal = 0, unknown = 0;
+    ASSERT_EQ(std::sscanf(out.c_str() + line,
+                          "%lu edit(s): %lu safe, %lu fatal, %lu unknown",
+                          &edits, &safe, &fatal, &unknown),
+              4)
+        << out;
+    EXPECT_EQ(safe + fatal + unknown, edits) << out;
+
+    auto dump = xmlreval::json::Parse(Slurp(P("metrics.json")));
+    ASSERT_TRUE(dump.ok()) << dump.status().ToString();
+    const xmlreval::json::Value* counters = dump->Find("counters");
+    ASSERT_NE(counters, nullptr);
+    std::map<std::string, double> streams, ops;
+    for (const auto& e : counters->AsArray()) {
+      const std::string& name = e.Find("name")->AsString();
+      const xmlreval::json::Value* labels = e.Find("labels");
+      const double value = e.Find("value")->AsNumber();
+      if (name == "xmlreval_edit_streams_total") {
+        streams[labels->Find("path")->AsString()] += value;
+      } else if (name == "xmlreval_edit_ops_total") {
+        ops[labels->Find("verdict")->AsString()] += value;
+      }
+    }
+    EXPECT_EQ(streams[path], 1.0) << path;
+    double all_streams = 0;
+    for (const auto& [unused, n] : streams) all_streams += n;
+    EXPECT_EQ(all_streams, 1.0);
+    EXPECT_EQ(ops["safe"], double(safe));
+    EXPECT_EQ(ops["fatal"], double(fatal));
+    EXPECT_EQ(ops["unknown"], double(unknown));
+  }
 };
 
 TEST_F(AnalyzeUpdatesCliTest, SafeStreamShortCircuits) {
   // The generator is deterministic under --seed; seed 2 draws one
   // statically safe edit.
-  EXPECT_EQ(Run(Base() + " --edits 1 --seed 2"), 0);
+  EXPECT_EQ(
+      Run(Base() + " --edits 1 --seed 2 --metrics-out " + P("metrics.json")),
+      0);
   std::string out = Output();
   EXPECT_NE(out.find("1 safe, 0 fatal, 0 unknown"), std::string::npos) << out;
   EXPECT_NE(out.find("short-circuited"), std::string::npos) << out;
   EXPECT_NE(out.find("analyze-updates: VALID"), std::string::npos) << out;
+  ExpectMetricsReconcile(out, "short_circuit_safe");
 }
 
 TEST_F(AnalyzeUpdatesCliTest, FatalStreamShortCircuitsAsInvalid) {
   // Seed 1 draws a root rename to a disjoint type: statically fatal.
-  EXPECT_EQ(Run(Base() + " --edits 1 --seed 1"), 1);
+  EXPECT_EQ(
+      Run(Base() + " --edits 1 --seed 1 --metrics-out " + P("metrics.json")),
+      1);
   std::string out = Output();
   EXPECT_NE(out.find("0 safe, 1 fatal, 0 unknown"), std::string::npos) << out;
   EXPECT_NE(out.find("stream verdict: fatal"), std::string::npos) << out;
   EXPECT_NE(out.find("analyze-updates: INVALID"), std::string::npos) << out;
+  ExpectMetricsReconcile(out, "short_circuit_fatal");
 }
 
 TEST_F(AnalyzeUpdatesCliTest, UndecidedStreamFallsBackAndDumpsMetrics) {
@@ -383,28 +463,8 @@ TEST_F(AnalyzeUpdatesCliTest, UndecidedStreamFallsBackAndDumpsMetrics) {
             std::string::npos)
       << out;
 
-  auto dump = xmlreval::json::Parse(Slurp(P("metrics.json")));
-  ASSERT_TRUE(dump.ok()) << dump.status().ToString();
-  // One edit_stream request took the fallback path; per-op verdict
-  // counters account for all six operations.
-  const xmlreval::json::Value* counters = dump->Find("counters");
-  ASSERT_NE(counters, nullptr);
-  double fallback = 0.0;
-  double ops = 0.0;
-  for (const auto& e : counters->AsArray()) {
-    const std::string& name = e.Find("name")->AsString();
-    if (name == "xmlreval_edit_streams_total") {
-      const xmlreval::json::Value* labels = e.Find("labels");
-      if (labels != nullptr && labels->Find("path") != nullptr &&
-          labels->Find("path")->AsString() == "fallback") {
-        fallback += e.Find("value")->AsNumber();
-      }
-    } else if (name == "xmlreval_edit_ops_total") {
-      ops += e.Find("value")->AsNumber();
-    }
-  }
-  EXPECT_EQ(fallback, 1.0);
-  EXPECT_EQ(ops, 6.0);
+  EXPECT_NE(out.find("6 edit(s): "), std::string::npos) << out;
+  ExpectMetricsReconcile(out, "fallback");
 }
 
 TEST_F(AnalyzeUpdatesCliTest, UsageErrors) {

@@ -159,6 +159,7 @@ TEST(PushParserTest, MalformedCorpusParity) {
   ExpectRejected("<a><b></a></b>", kParse);
   ExpectRejected("<a>text", kParse);
   ExpectRejected("<a x=\"1\" x=\"2\"/>", kParse);
+  ExpectRejected("<e a=\"1\" a=\"2\"/>", kParse);
   ExpectRejected("<a x=\"<\"/>", kParse);
   ExpectRejected("<a></a><b/>", kParse);
   ExpectRejected("<a>tail</a>junk", kParse);
@@ -178,6 +179,24 @@ TEST(PushParserTest, MalformedCorpusParity) {
   ExpectRejected("<a>&#1114112;</a>", kParse);
   ExpectRejected("<a>&#x110000;</a>", kParse);
   ExpectRejected("<a>&#00000000000000001114112;</a>", kParse);
+}
+
+TEST(PushParserTest, DuplicateAttributeInAHugeTag) {
+  // 40,000 distinct attributes in one start tag parse; ended by a
+  // duplicate of the first name, the tag fails right after that
+  // duplicate's closing quote, as it does in a tag with two attributes.
+  std::string tag = "<e";
+  for (int k = 0; k < 40000; ++k) tag += " a" + std::to_string(k) + "=\"v\"";
+  PushOutcome accepted = ExpectChunkingInvariant(tag + "/>", {});
+  EXPECT_OK(accepted.status);
+  EXPECT_EQ(accepted.events.size(), 2u);
+
+  const std::string duplicated = tag + " a0=\"v\"";
+  PushOutcome rejected = ExpectChunkingInvariant(duplicated + "/>", {});
+  EXPECT_EQ(rejected.status.code(), StatusCode::kParseError);
+  EXPECT_EQ(rejected.status.message(),
+            "XML parse error at byte " + std::to_string(duplicated.size()) +
+                ": duplicate attribute 'a0'");
 }
 
 TEST(PushParserTest, EveryPrefixOfValidDocFails) {

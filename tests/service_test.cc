@@ -12,8 +12,10 @@
 #include "common/bounded_queue.h"
 #include "core/cast_validator.h"
 #include "core/full_validator.h"
+#include "core/mod_validator.h"
 #include "core/relations.h"
 #include "obs/metrics.h"
+#include "workload/update_workload.h"
 #include "xml/editor.h"
 #include "xml/parser.h"
 
@@ -777,6 +779,69 @@ TEST_F(EditStreamServiceTest, AnalyzersAreCompiledOncePerPair) {
   ValidationService::Counters c = service_.counters();
   EXPECT_EQ(c.edit_streams, 3u);
   EXPECT_EQ(c.streams_short_circuited, 3u);
+}
+
+// Sixteen seeded 16-op streams on a 512-child feed, in three flavours of
+// label pool: in-schema renames, deletes and text edits (i % 3 == 0), the
+// same plus inserts (i % 3 == 1), and a pool that mixes in labels the
+// schema does not know (i % 3 == 2). Exactly 14 streams are decided
+// statically, and each static verdict is ModValidator's on the same edits.
+TEST_F(EditStreamServiceTest, SeededStreamGridMatchesModValidator) {
+  std::string feed = "<feed>";
+  for (size_t i = 0; i < 512; ++i) {
+    feed += (i % 3 != 0) ? "<entry>42</entry>" : "<note>n</note>";
+  }
+  feed += "</feed>";
+  auto relations = service_.cache().Get(source_, target_);
+  ASSERT_TRUE(relations.ok()) << relations.status();
+
+  size_t short_circuited = 0;
+  size_t short_circuited_ops = 0;
+  for (size_t i = 0; i < 16; ++i) {
+    workload::UpdateWorkloadOptions options;
+    options.seed = 1000 + i;
+    options.edit_count = 16;
+    options.rename_safe_labels = {"entry", "note"};
+    options.insert_safe_labels = {"entry", "note"};
+    options.rename_unsafe_labels = {"wild", "offmodel"};
+    options.insert_unsafe_labels = {"wild", "offmodel"};
+    options.safe_percent = (i % 3 == 2) ? 30 : 100;
+    if (i % 3 == 0) options.insert_weight = 0;
+    options.rename_root = false;
+    std::vector<xml::EditOp> ops;
+    xml::Document scratch = Doc(feed.c_str());
+    xml::DocumentEditor scratch_editor(&scratch);
+    ASSERT_TRUE(
+        workload::ApplyRandomUpdates(&scratch, &scratch_editor, options, &ops)
+            .ok());
+    ASSERT_EQ(ops.size(), 16u);
+
+    // Node ids are deterministic per parse, so the script replays on a
+    // fresh parse of the same feed.
+    xml::Document truth = Doc(feed.c_str());
+    xml::DocumentEditor truth_editor(&truth);
+    for (const xml::EditOp& op : ops) ASSERT_TRUE(truth_editor.Apply(op).ok());
+    const bool valid = core::ModValidator(relations->get())
+                           .Validate(truth, truth_editor.Seal())
+                           .valid;
+
+    xml::Document doc = Doc(feed.c_str());
+    auto result = service_.SubmitEditStream(source_, target_, &doc, ops);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(result->report.valid, valid) << "stream " << i;
+    if (result->short_circuited) {
+      EXPECT_EQ(result->stream.verdict == analysis::Safety::kSafe, valid)
+          << "stream " << i;
+      ++short_circuited;
+      short_circuited_ops += ops.size();
+    }
+  }
+  EXPECT_EQ(short_circuited, 14u);
+  EXPECT_EQ(short_circuited_ops, 224u);
+  ValidationService::Counters c = service_.counters();
+  EXPECT_EQ(c.edit_streams, 16u);
+  EXPECT_EQ(c.streams_short_circuited, 14u);
+  EXPECT_EQ(c.edit_ops_safe + c.edit_ops_fatal + c.edit_ops_unknown, 256u);
 }
 
 TEST_F(ValidationServiceTest, CounterSnapshotsAreInternallyConsistent) {

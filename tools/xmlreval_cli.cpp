@@ -371,6 +371,12 @@ int CmdCorrect(int argc, char** argv) {
       case core::CorrectionStep::Kind::kDeleteSubtree:
         kind = "delete";
         break;
+      case core::CorrectionStep::Kind::kSetAttribute:
+        kind = "set-attr";
+        break;
+      case core::CorrectionStep::Kind::kRemoveAttribute:
+        kind = "del-attr";
+        break;
     }
     std::printf("  %-8s at %-10s %s\n", kind, step.where.c_str(),
                 step.detail.c_str());
