@@ -36,6 +36,13 @@ namespace {
 
 using namespace xmlreval;
 
+// Executor options with only the worker count set.
+common::Executor::Options Threads(size_t n) {
+  common::Executor::Options options;
+  options.threads = n;
+  return options;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -101,8 +108,7 @@ int main(int argc, char** argv) {
     std::printf("%-8zu %-14.1f", items, serial_ns / 1000.0);
 
     for (size_t threads : kThreadGrid) {
-      common::Executor executor(
-          common::Executor::Options{.threads = threads});
+      common::Executor executor(Threads(threads));
       core::ParallelCastValidator parallel(pair.relations.get(), &executor);
       double par_ns = bench::MedianNs([&] {
         core::ValidationReport report = parallel.Validate(doc);
@@ -134,7 +140,7 @@ int main(int argc, char** argv) {
         "bytes_per_node",
         double(doc.MemoryUsage().total()) / double(doc.NodeCount()));
     for (size_t threshold : {size_t{0}, size_t{16}, size_t{64}, size_t{256}}) {
-      common::Executor executor(common::Executor::Options{.threads = 4});
+      common::Executor executor(Threads(4));
       core::ParallelCastValidator::Options parallel_options;
       parallel_options.spawn_threshold = threshold;
       core::ParallelCastValidator parallel(pair.relations.get(), &executor,
@@ -163,7 +169,7 @@ int main(int argc, char** argv) {
     options.item_count = 1000;
     xml::Document doc = workload::GeneratePurchaseOrder(options);
     if (!doc.Bind(pair.alphabet).ok()) return 1;
-    common::Executor executor(common::Executor::Options{.threads = 4});
+    common::Executor executor(Threads(4));
     // Force eager donation so the traced run actually fans out (the
     // adaptive threshold can swallow a 1000-item doc whole on a fast
     // machine, leaving a single cast.task and nothing to flow-link).

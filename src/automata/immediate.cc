@@ -35,26 +35,6 @@ ImmediateDfa ImmediateDfa::FromPair(const Dfa& a, const Dfa& b) {
   return ImmediateDfa(std::move(c), std::move(classes), enc);
 }
 
-ImmediateRunResult ImmediateDfa::Run(std::span<const Symbol> input,
-                                     StateId from) const {
-  StateId q = from;
-  size_t scanned = 0;
-  while (true) {
-    StateClass cls = classes_[q];
-    if (cls == StateClass::kImmediateAccept) {
-      return {Verdict::kAccept, scanned, true, q};
-    }
-    if (cls == StateClass::kImmediateReject) {
-      return {Verdict::kReject, scanned, true, q};
-    }
-    if (scanned == input.size()) break;
-    q = dfa_.Next(q, input[scanned]);
-    ++scanned;
-  }
-  return {dfa_.IsAccepting(q) ? Verdict::kAccept : Verdict::kReject, scanned,
-          false, q};
-}
-
 size_t ImmediateDfa::CountClass(StateClass c) const {
   size_t n = 0;
   for (size_t q = 0; q < dfa_.num_states(); ++q) {

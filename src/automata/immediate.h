@@ -57,8 +57,28 @@ class ImmediateDfa {
   static ImmediateDfa FromPair(const Dfa& a, const Dfa& b);
 
   /// Runs over `input` starting from `from`, stopping at the first IA/IR
-  /// state (including `from` itself, before consuming any symbol).
-  ImmediateRunResult Run(std::span<const Symbol> input, StateId from) const;
+  /// state (including `from` itself, before consuming any symbol). `input`
+  /// is any sequence of symbols with size() and operator[]: a span, or
+  /// the back-to-front view §4.3's backward scan reads a span through.
+  template <typename Symbols>
+  ImmediateRunResult Run(const Symbols& input, StateId from) const {
+    StateId q = from;
+    size_t scanned = 0;
+    while (true) {
+      StateClass cls = classes_[q];
+      if (cls == StateClass::kImmediateAccept) {
+        return {Verdict::kAccept, scanned, true, q};
+      }
+      if (cls == StateClass::kImmediateReject) {
+        return {Verdict::kReject, scanned, true, q};
+      }
+      if (scanned == input.size()) break;
+      q = dfa_.Next(q, input[scanned]);
+      ++scanned;
+    }
+    return {dfa_.IsAccepting(q) ? Verdict::kAccept : Verdict::kReject,
+            scanned, false, q};
+  }
   ImmediateRunResult Run(std::span<const Symbol> input) const {
     return Run(input, dfa_.start_state());
   }

@@ -16,12 +16,11 @@ CastValidator::CastValidator(const TypeRelations* relations,
 namespace {
 
 // Drains `scratch->frontier` (already seeded) through one CastWalk. On
-// failure the Dewey path is reconstructed lazily, relative to
-// `path_anchor` (the subtree root; the document root for Validate).
+// failure the Dewey path is reconstructed lazily.
 ValidationReport Drain(const TypeRelations& relations,
                        const CastValidator::Options& options,
-                       const xml::Document& doc, xml::NodeId path_anchor,
-                       CastScratch* scratch, ValidationReport report) {
+                       const xml::Document& doc, CastScratch* scratch,
+                       ValidationReport report) {
   internal::CastWalk walk(relations, doc, options.use_immediate_content,
                           doc.BoundTo(*relations.source().alphabet()));
   walk.simple_value = &scratch->simple_value;
@@ -36,8 +35,7 @@ ValidationReport Drain(const TypeRelations& relations,
     if (!walk.ProcessUnit(unit, &frontier)) {
       report.valid = false;
       report.violation = std::move(walk.fail_message);
-      report.violation_path =
-          xml::DeweyPath::Relative(doc, walk.fail_node, path_anchor);
+      report.violation_path = xml::DeweyPath::Of(doc, walk.fail_node);
       frontier.clear();
       break;
     }
@@ -67,32 +65,7 @@ ValidationReport CastValidator::Validate(const xml::Document& doc,
   }
   scratch->frontier.clear();
   scratch->frontier.push_back(root);
-  report = Drain(*relations_, options_, doc, doc.root(), scratch,
-                 std::move(report));
-  AttachTraceArgs(span, report.counters);
-  return report;
-}
-
-ValidationReport CastValidator::ValidateSubtree(const xml::Document& doc,
-                                                xml::NodeId node,
-                                                TypeId source_type,
-                                                TypeId target_type) const {
-  CastScratch scratch;
-  return ValidateSubtree(doc, node, source_type, target_type, &scratch);
-}
-
-ValidationReport CastValidator::ValidateSubtree(const xml::Document& doc,
-                                                xml::NodeId node,
-                                                TypeId source_type,
-                                                TypeId target_type,
-                                                CastScratch* scratch) const {
-  obs::Span span("cast.subtree");
-  ValidationReport report;
-  scratch->frontier.clear();
-  scratch->frontier.push_back(
-      {node, source_type, target_type, CastUnitKind::kValidate});
-  report = Drain(*relations_, options_, doc, node, scratch,
-                 std::move(report));
+  report = Drain(*relations_, options_, doc, scratch, std::move(report));
   AttachTraceArgs(span, report.counters);
   return report;
 }

@@ -86,16 +86,6 @@ class CastValidator {
   ValidationReport Validate(const xml::Document& doc,
                             CastScratch* scratch) const;
 
-  /// validate(τ, τ', e) on a subtree: `source_type` is the type the subtree
-  /// has under the source schema, `target_type` the type to check. The
-  /// violation path is RELATIVE to `node` (mod-validation rebases it).
-  ValidationReport ValidateSubtree(const xml::Document& doc, xml::NodeId node,
-                                   TypeId source_type,
-                                   TypeId target_type) const;
-  ValidationReport ValidateSubtree(const xml::Document& doc, xml::NodeId node,
-                                   TypeId source_type, TypeId target_type,
-                                   CastScratch* scratch) const;
-
  private:
   const TypeRelations* relations_;
   Options options_;

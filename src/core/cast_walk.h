@@ -1,5 +1,5 @@
 // CastWalk — the tree driver of the §3.2 kernel behind both cast validators
-// (internal).
+// and ModValidator's untouched subtrees (internal).
 //
 // ProcessUnit runs validate(τ, τ', e) for ONE node through CastKernel
 // (core/cast_kernel.h): the subsumed/disjoint short-circuits, the

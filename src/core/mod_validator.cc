@@ -1,468 +1,332 @@
 #include "core/mod_validator.h"
 
 #include <algorithm>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "common/macros.h"
 #include "common/string_util.h"
+#include "core/cast_walk.h"
+#include "core/string_revalidator.h"
+#include "obs/trace.h"
 
 namespace xmlreval::core {
 
 using automata::Symbol;
-using automata::Verdict;
+using internal::CastKernel;
 using schema::kInvalidType;
 using xml::DeltaKind;
-using xml::TrieCursor;
 
-ModValidator::ModValidator(const TypeRelations* relations,
-                           const Options& options)
-    : relations_(relations),
-      options_(options),
-      cast_(relations, options.cast) {
+ModValidator::ModValidator(const TypeRelations* relations)
+    : relations_(relations) {
   XMLREVAL_CHECK(relations != nullptr, "ModValidator requires relations");
 }
 
+// §3.3's case analysis over one explicit preorder stack: a unit's own
+// content is checked when it is popped, and its children are pushed in
+// reverse so the first pops next. Visit order, first failure and counters
+// are those of the recursive case analysis, at O(1) native stack for any
+// depth; the Dewey path is built once, for the failure.
 struct ModValidator::Walk {
-  const TypeRelations& rel;
-  const Schema& source;
-  const Schema& target;
+  enum class Step : uint8_t {
+    kCast,          // case 1: the untouched subtree goes to ProcessUnit
+    kModified,      // case 4
+    kInserted,      // case 3 (and any node without usable source history)
+    kUntyped,       // τ' does not type the child's new label
+    kPrecondition,  // τ does not type the child's old label
+  };
+  // A pending node. Typing failures found while expanding a parent are
+  // deferred to the child's position, as CastWalk's poisoned units are,
+  // and carry the PARENT's pair.
+  struct Unit {
+    xml::NodeId node;
+    TypeId source_type;
+    TypeId target_type;
+    Step step;
+  };
+
+  Walk(const TypeRelations& relations, const xml::Document& document,
+       const xml::ModificationIndex& modifications)
+      : doc(document),
+        mods(modifications),
+        cast(relations, document, /*use_immediate=*/true,
+             document.BoundTo(*relations.source().alphabet())),
+        k(cast.k) {
+    cast.simple_value = &value;
+  }
+
   const xml::Document& doc;
   const xml::ModificationIndex& mods;
-  const CastValidator& cast;
-  bool use_incremental;
-  // Document bound to the schema pair's alphabet: project child sequences
-  // through the editor's symbol-level Proj_old/Proj_new, no string lookups.
-  bool use_symbols;
+  // The kernel's tree driver: it drains every case-1 subtree, and its
+  // kernel (k) holds every counter of the walk.
+  internal::CastWalk cast;
+  CastKernel& k;
   ValidationReport report;
-  std::vector<uint32_t> path;
+  std::vector<Unit> stack;
+  std::vector<CastUnit> frontier;  // shared by every case-1 subtree
+  std::string value;               // χ of a simple-typed element
+  // Proj_old / Proj_new child labels of the modified node being checked.
+  std::vector<Symbol> old_syms;
+  std::vector<Symbol> new_syms;
 
-  void Fail(std::string message) {
+  bool Fail(xml::NodeId node, std::string message) {
     report.valid = false;
     report.violation = std::move(message);
-    report.violation_path = xml::DeweyPath(path);
+    report.violation_path = xml::DeweyPath::Of(doc, node);
+    return false;
   }
 
-  // Merges a sub-validator's report, rebasing its violation path onto the
-  // current position.
-  bool Absorb(const ValidationReport& sub) {
-    report.counters += sub.counters;
-    if (!sub.valid && report.valid) {
-      report.valid = false;
-      report.violation = sub.violation;
-      std::vector<uint32_t> abs = path;
-      for (uint32_t c : sub.violation_path.components()) abs.push_back(c);
-      report.violation_path = xml::DeweyPath(std::move(abs));
-    }
-    return sub.valid;
-  }
-
-  /// Current-tree symbol of element `c` (no Δ projection).
-  Symbol SymbolOf(xml::NodeId c) const {
-    if (use_symbols) return doc.symbol(c);
-    auto sym = source.alphabet()->Find(doc.label(c));
-    return sym ? *sym : automata::kUnboundSymbol;
-  }
-
-  /// Proj_old symbol of child `c`: nullopt = ε (inserted / never existed),
+  /// Proj_old symbol of `c`: nullopt = ε (inserted / never existed),
   /// kUnboundSymbol = label outside Σ.
   std::optional<Symbol> OldSymbolOf(xml::NodeId c) const {
-    if (use_symbols) return mods.OldSymbol(doc, c);
+    if (cast.use_symbols) return mods.OldSymbol(doc, c);
     std::optional<std::string> label = mods.OldLabel(doc, c);
     if (!label) return std::nullopt;
-    auto sym = source.alphabet()->Find(*label);
+    auto sym = k.source.alphabet()->Find(*label);
     return sym ? *sym : automata::kUnboundSymbol;
   }
 
-  /// Proj_new symbol of child `c`: nullopt = ε (deleted), kUnboundSymbol =
-  /// label outside Σ.
-  std::optional<Symbol> NewSymbolOf(xml::NodeId c) const {
-    if (use_symbols) return mods.NewSymbol(doc, c);
-    std::optional<std::string> label = mods.NewLabel(doc, c);
-    if (!label) return std::nullopt;
-    auto sym = source.alphabet()->Find(*label);
-    return sym ? *sym : automata::kUnboundSymbol;
+  void Run(xml::NodeId root) {
+    Symbol new_sym = cast.SymbolOf(root);
+    TypeId t_root = new_sym != automata::kUnboundSymbol
+                        ? k.target.RootType(new_sym)
+                        : kInvalidType;
+    if (t_root == kInvalidType) {
+      k.CountElement();
+      Fail(root, CastKernel::RootMessage(CastUnitKind::kContentMismatch,
+                                         doc.label(root)));
+      return;
+    }
+    std::optional<Symbol> old_sym = OldSymbolOf(root);
+    if (!old_sym) {
+      stack.push_back({root, kInvalidType, t_root, Step::kInserted});
+    } else {
+      TypeId s_root = *old_sym != automata::kUnboundSymbol
+                          ? k.source.RootType(*old_sym)
+                          : kInvalidType;
+      if (s_root == kInvalidType) {
+        Fail(root, StrCat("precondition violated: original root '",
+                          mods.OldLabel(doc, root).value_or(
+                              std::string(doc.label(root))),
+                          "' is not declared by the source schema"));
+        return;
+      }
+      // The root always takes case 4, edits or not.
+      stack.push_back({root, s_root, t_root, Step::kModified});
+    }
+    while (!stack.empty()) {
+      const Unit unit = stack.back();
+      stack.pop_back();
+      if (!Process(unit)) return;
+    }
+  }
+
+  bool Process(const Unit& unit) {
+    switch (unit.step) {
+      case Step::kCast:
+        return DrainCast(unit);
+      case Step::kModified:
+        return Modified(unit.node, unit.source_type, unit.target_type);
+      case Step::kInserted:
+        return Inserted(unit.node, unit.target_type);
+      case Step::kUntyped:
+        return Fail(doc.parent(unit.node),
+                    StrCat("internal: accepted content string uses untyped "
+                           "label '",
+                           doc.label(unit.node), "'"));
+      case Step::kPrecondition:
+        return Fail(unit.node,
+                    k.PreconditionMessage(
+                        unit.source_type,
+                        k.source.alphabet()->Name(*OldSymbolOf(unit.node))));
+    }
+    return true;
+  }
+
+  // Case 1: plain §3.2 schema-cast validation of an untouched subtree.
+  bool DrainCast(const Unit& unit) {
+    frontier.push_back({unit.node, unit.source_type, unit.target_type,
+                        CastUnitKind::kValidate});
+    while (!frontier.empty()) {
+      const CastUnit next = frontier.back();
+      frontier.pop_back();
+      if (!cast.ProcessUnit(next, &frontier)) {
+        frontier.clear();
+        return Fail(cast.fail_node, std::move(cast.fail_message));
+      }
+    }
+    return true;
+  }
+
+  // χ of a simple-typed modified or inserted element: the text of its
+  // live children, none of which may be an element.
+  bool SimpleContent(xml::NodeId node, TypeId t) {
+    value.clear();
+    for (xml::NodeId c = doc.first_child(node); c != xml::kInvalidNode;
+         c = doc.next_sibling(c)) {
+      if (mods.IsDeleted(c)) continue;
+      if (doc.IsElement(c)) {
+        return Fail(c, StrCat("element '", doc.label(c),
+                              "' not allowed under simple-typed '",
+                              doc.label(node), "'"));
+      }
+      k.CountText();
+      value += doc.text(c);
+    }
+    if (k.SimpleValueOk(t, value)) return true;
+    return Fail(node, k.DetailMessage(doc.label(node)));
   }
 
   // Case 3: a freshly inserted subtree — full validation against the
-  // target type, but Δ-aware: descendants deleted within the same edit
-  // session (never_existed nodes) are skipped.
-  bool ValidateInserted(xml::NodeId node, TypeId t_type) {
-    ++report.counters.nodes_visited;
-    ++report.counters.elements_visited;
-
-    if (target.IsSimple(t_type)) {
-      std::string value;
-      uint32_t ordinal = 0;
-      for (xml::NodeId c = doc.first_child(node); c != xml::kInvalidNode;
-           c = doc.next_sibling(c), ++ordinal) {
-        if (mods.IsDeleted(c)) continue;
-        if (doc.IsElement(c)) {
-          path.push_back(ordinal);
-          Fail(StrCat("element '", doc.label(c),
-                      "' not allowed under simple-typed '", doc.label(node),
-                      "'"));
-          path.pop_back();
-          return false;
-        }
-        ++report.counters.nodes_visited;
-        ++report.counters.text_nodes_visited;
-        value += doc.text(c);
-      }
-      ++report.counters.simple_checks;
-      Status check =
-          schema::ValidateSimpleValue(target.simple_type(t_type), value);
-      if (!check.ok()) {
-        Fail(StrCat("element '", doc.label(node), "': ", check.message()));
-        return false;
-      }
-      return true;
+  // target type, skipping descendants deleted within the same session.
+  bool Inserted(xml::NodeId node, TypeId t) {
+    k.CountElement();
+    if (k.target.IsSimple(t)) return SimpleContent(node, t);
+    if (!k.AttributesOk(t, doc.attributes(node))) {
+      return Fail(node, k.DetailMessage(doc.label(node)));
     }
-
-    const schema::ComplexType& t_decl = target.complex_type(t_type);
-    if (!t_decl.open_attributes) {
-      ++report.counters.attr_checks;
-      Status attrs =
-          schema::ValidateTypeAttributes(t_decl, doc.attributes(node));
-      if (!attrs.ok()) {
-        Fail(StrCat("element '", doc.label(node), "': ", attrs.message()));
-        return false;
-      }
-    }
-
-    const automata::Dfa* dfa = rel.TargetDfa(t_type);
+    const automata::Dfa* dfa = k.rel.TargetDfa(t);
     automata::StateId q = dfa->start_state();
-    std::vector<xml::NodeId> children;
-    std::vector<Symbol> symbols;
-    std::vector<uint32_t> ordinals;
-    uint32_t ordinal = 0;
+    const size_t mark = stack.size();
     for (xml::NodeId c = doc.first_child(node); c != xml::kInvalidNode;
-         c = doc.next_sibling(c), ++ordinal) {
+         c = doc.next_sibling(c)) {
       if (mods.IsDeleted(c)) continue;
       if (doc.IsText(c)) {
-        ++report.counters.nodes_visited;
-        ++report.counters.text_nodes_visited;
+        k.CountText();
         if (!IsAllXmlWhitespace(doc.text(c))) {
-          path.push_back(ordinal);
-          Fail(StrCat("character data not allowed under '", doc.label(node),
-                      "' (element-only content)"));
-          path.pop_back();
-          return false;
+          return Fail(c, StrCat("character data not allowed under '",
+                                doc.label(node), "' (element-only content)"));
         }
         continue;
       }
-      Symbol sym = SymbolOf(c);
-      if (sym >= dfa->alphabet_size() ||
-          target.ChildType(t_type, sym) == kInvalidType) {
-        path.push_back(ordinal);
-        Fail(StrCat("element '", doc.label(c),
-                    "' not allowed by target type '", target.TypeName(t_type),
-                    "'"));
-        path.pop_back();
-        return false;
+      const Symbol sym = cast.SymbolOf(c);
+      const TypeId t_child = sym < dfa->alphabet_size()
+                                 ? k.target.ChildType(t, sym)
+                                 : kInvalidType;
+      if (t_child == kInvalidType) {
+        return Fail(c, StrCat("element '", doc.label(c),
+                              "' not allowed by target type '",
+                              k.target.TypeName(t), "'"));
       }
       q = dfa->Next(q, sym);
-      ++report.counters.dfa_steps;
-      children.push_back(c);
-      symbols.push_back(sym);
-      ordinals.push_back(ordinal);
+      ++k.counters.dfa_steps;
+      stack.push_back({c, kInvalidType, t_child, Step::kInserted});
     }
     if (!dfa->IsAccepting(q)) {
-      Fail(StrCat("children of inserted '", doc.label(node),
-                  "' do not match the content model of target type '",
-                  target.TypeName(t_type), "'"));
-      return false;
+      return Fail(node, StrCat("children of inserted '", doc.label(node),
+                               "' do not match the content model of target "
+                               "type '",
+                               k.target.TypeName(t), "'"));
     }
-    for (size_t i = 0; i < children.size(); ++i) {
-      path.push_back(ordinals[i]);
-      bool ok =
-          ValidateInserted(children[i], target.ChildType(t_type, symbols[i]));
-      path.pop_back();
-      if (!ok) return false;
-    }
+    std::reverse(stack.begin() + mark, stack.end());
     return true;
   }
 
-  // The §4.3 three-phase scan in one direction: `single`/`pair`/`sdfa`
-  // must all belong to that direction (forward automata with the original
-  // sequences, or reverse automata with the reversed sequences).
-  // `boundary` = count of trailing symbols of new_syms that are unmodified.
-  bool ThreePhase(xml::NodeId node, TypeId t_type,
-                  const automata::ImmediateDfa* pair,
-                  const automata::ImmediateDfa* single,
-                  const automata::Dfa* plain_target,
-                  const automata::Dfa* sdfa,
-                  std::span<const Symbol> old_syms,
-                  std::span<const Symbol> new_syms, size_t suffix,
-                  bool* accepted) {
-    size_t i = new_syms.size() - suffix;
-
-    // Phase 1: b_immed over the edited prefix.
-    automata::StateId qb;
-    if (single != nullptr) {
-      automata::ImmediateRunResult p1 = single->Run(new_syms.subspan(0, i));
-      report.counters.dfa_steps += p1.symbols_scanned;
-      if (p1.decided_early) {
-        ++report.counters.immediate_decisions;
-        *accepted = p1.verdict == Verdict::kAccept;
-        if (!*accepted) {
-          Fail(StrCat("children of '", doc.label(node),
-                      "' do not match the content model of target type '",
-                      target.TypeName(t_type), "'"));
-        }
-        return true;  // decided
-      }
-      qb = p1.final_state;
-    } else {
-      qb = plain_target->Run(new_syms.subspan(0, i));
-      report.counters.dfa_steps += i;
+  // Case 4: the node or something below it changed. Its own content is
+  // re-checked against τ' (attributes too: the pair may differ in its
+  // attribute policy), then each live child is pushed with
+  // (types_τ(Proj_old), types_τ'(Proj_new)).
+  bool Modified(xml::NodeId node, TypeId s, TypeId t) {
+    k.CountElement();
+    if (k.target.IsSimple(t)) return SimpleContent(node, t);
+    if (!k.AttributesOk(t, doc.attributes(node))) {
+      return Fail(node, k.DetailMessage(doc.label(node)));
     }
-
-    // Phase 2: recover the source state before the unmodified suffix.
-    automata::StateId qa =
-        sdfa->Run(old_syms.subspan(0, old_syms.size() - suffix));
-
-    // Phase 3: c_immed from (qa, qb) over the unmodified suffix.
-    automata::StateId start = pair->pair_encoding().Encode(qa, qb);
-    automata::ImmediateRunResult p3 = pair->Run(new_syms.subspan(i), start);
-    report.counters.dfa_steps += p3.symbols_scanned;
-    if (p3.decided_early) ++report.counters.immediate_decisions;
-    *accepted = p3.verdict == Verdict::kAccept;
-    if (!*accepted) {
-      Fail(StrCat("children of '", doc.label(node),
-                  "' do not match the content model of target type '",
-                  target.TypeName(t_type), "'"));
-    }
-    return true;
-  }
-
-  // Content-model check for a MODIFIED node (case 4): decide
-  // new_syms ∈ L(regexp_τ') knowing old_syms ∈ L(regexp_τ), via the §4.3
-  // three-phase scan when the machinery is available, choosing the scan
-  // direction by where the edits fall (reverse automata, when prebuilt,
-  // handle the append-heavy case).
-  bool CheckContent(xml::NodeId node, TypeId s_type, TypeId t_type,
-                    bool s_complex, const std::vector<Symbol>& old_syms,
-                    const std::vector<Symbol>& new_syms) {
-    const automata::ImmediateDfa* pair =
-        (use_incremental && s_complex) ? rel.PairAutomaton(s_type, t_type)
-                                       : nullptr;
-    const automata::ImmediateDfa* single = rel.SingleAutomaton(t_type);
-    bool accepted = false;
-
-    if (pair != nullptr) {
-      // Unmodified prefix/suffix lengths; the edits fall between them.
-      size_t limit = std::min(old_syms.size(), new_syms.size());
-      size_t suffix = 0;
-      while (suffix < limit &&
-             old_syms[old_syms.size() - 1 - suffix] ==
-                 new_syms[new_syms.size() - 1 - suffix]) {
-        ++suffix;
-      }
-      size_t prefix = 0;
-      while (prefix < limit && old_syms[prefix] == new_syms[prefix]) {
-        ++prefix;
-      }
-      if (prefix + suffix > limit) suffix = limit - prefix;
-
-      const automata::ImmediateDfa* rpair =
-          (use_incremental && s_complex)
-              ? rel.ReversePairAutomaton(s_type, t_type)
-              : nullptr;
-      if (rpair != nullptr && prefix > suffix) {
-        // Backward scan: the common prefix becomes the unmodified suffix
-        // of the reversed sequences.
-        std::vector<Symbol> old_rev(old_syms.rbegin(), old_syms.rend());
-        std::vector<Symbol> new_rev(new_syms.rbegin(), new_syms.rend());
-        if (ThreePhase(node, t_type, rpair,
-                       rel.ReverseSingleAutomaton(t_type),
-                       /*plain_target=*/nullptr,
-                       rel.ReverseSourceDfa(s_type), old_rev, new_rev,
-                       prefix, &accepted)) {
-          return accepted;
-        }
-      }
-      if (ThreePhase(node, t_type, pair, single, rel.TargetDfa(t_type),
-                     rel.SourceDfa(s_type), old_syms, new_syms, suffix,
-                     &accepted)) {
-        return accepted;
-      }
-    } else if (single != nullptr) {
-      automata::ImmediateRunResult run = single->Run(new_syms);
-      report.counters.dfa_steps += run.symbols_scanned;
-      if (run.decided_early) ++report.counters.immediate_decisions;
-      accepted = run.verdict == Verdict::kAccept;
-    } else {
-      const automata::Dfa* dfa = rel.TargetDfa(t_type);
-      automata::StateId q = dfa->start_state();
-      for (Symbol sym : new_syms) {
-        q = dfa->Next(q, sym);
-        ++report.counters.dfa_steps;
-      }
-      accepted = dfa->IsAccepting(q);
-    }
-
-    if (!accepted) {
-      Fail(StrCat("children of '", doc.label(node),
-                  "' do not match the content model of target type '",
-                  target.TypeName(t_type), "'"));
-    }
-    return accepted;
-  }
-
-  // Cases 1 and 4 dispatcher for a node that exists in T' (not deleted).
-  // `s_type` is the node's type under the source schema, or kInvalidType
-  // when the node has no source history (only for inserted nodes, which
-  // the caller routes to ValidateInserted instead).
-  bool ValidateNode(xml::NodeId node, TypeId s_type, TypeId t_type,
-                    TrieCursor cursor) {
-    // Case 1: untouched subtree — plain §3.2 schema-cast validation.
-    if (cursor.Null()) {
-      return Absorb(cast.ValidateSubtree(doc, node, s_type, t_type));
-    }
-
-    ++report.counters.nodes_visited;
-    ++report.counters.elements_visited;
-
-    // Case 4: the node (or something below it) changed; its own content
-    // must be re-verified against τ'.
-    if (target.IsSimple(t_type)) {
-      std::string value;
-      uint32_t ordinal = 0;
-      for (xml::NodeId c = doc.first_child(node); c != xml::kInvalidNode;
-           c = doc.next_sibling(c), ++ordinal) {
-        if (mods.IsDeleted(c)) continue;
-        if (doc.IsElement(c)) {
-          path.push_back(ordinal);
-          Fail(StrCat("element '", doc.label(c),
-                      "' not allowed under simple-typed '", doc.label(node),
-                      "'"));
-          path.pop_back();
-          return false;
-        }
-        ++report.counters.nodes_visited;
-        ++report.counters.text_nodes_visited;
-        value += doc.text(c);
-      }
-      ++report.counters.simple_checks;
-      Status check =
-          schema::ValidateSimpleValue(target.simple_type(t_type), value);
-      if (!check.ok()) {
-        Fail(StrCat("element '", doc.label(node), "': ", check.message()));
-        return false;
-      }
-      return true;
-    }
-
-    // Complex τ': attributes are re-checked on the modified spine (edits
-    // to the tree may be accompanied by a type whose attribute policy
-    // differs), then the child sequence is projected both ways.
-    const schema::ComplexType& t_decl = target.complex_type(t_type);
-    if (!t_decl.open_attributes) {
-      ++report.counters.attr_checks;
-      Status attr_check =
-          schema::ValidateTypeAttributes(t_decl, doc.attributes(node));
-      if (!attr_check.ok()) {
-        Fail(StrCat("element '", doc.label(node), "': ",
-                    attr_check.message()));
-        return false;
-      }
-    }
-    bool s_complex = s_type != kInvalidType && source.IsComplex(s_type);
-    std::vector<Symbol> old_syms;        // Proj_old: skips inserted
-    std::vector<Symbol> new_syms;        // Proj_new: skips deleted
-    std::vector<xml::NodeId> live;       // children to recurse into
-    std::vector<Symbol> live_new_syms;   // label symbol in T'
-    std::vector<Symbol> live_old_syms;   // label symbol in T (or invalid)
-    std::vector<uint32_t> live_ordinals;
-    std::vector<bool> live_inserted;
-
-    uint32_t ordinal = 0;
+    const bool s_complex = k.source.IsComplex(s);
+    // Labels interned after the relations were computed (kUnboundSymbol
+    // included) lie beyond every padded transition table.
+    const size_t sigma = k.rel.TargetDfa(t)->alphabet_size();
+    old_syms.clear();
+    new_syms.clear();
+    const size_t mark = stack.size();
     for (xml::NodeId c = doc.first_child(node); c != xml::kInvalidNode;
-         c = doc.next_sibling(c), ++ordinal) {
-      DeltaKind kind = mods.Kind(c);
+         c = doc.next_sibling(c)) {
+      const DeltaKind kind = mods.Kind(c);
       if (doc.IsText(c)) {
         if (kind == DeltaKind::kDeleted) continue;
-        ++report.counters.nodes_visited;
-        ++report.counters.text_nodes_visited;
+        k.CountText();
         if (!IsAllXmlWhitespace(doc.text(c))) {
-          path.push_back(ordinal);
-          Fail(StrCat("character data not allowed under '", doc.label(node),
-                      "' (element-only content in target type '",
-                      target.TypeName(t_type), "')"));
-          path.pop_back();
-          return false;
+          return Fail(c, StrCat("character data not allowed under '",
+                                doc.label(node),
+                                "' (element-only content in target type '",
+                                k.target.TypeName(t), "')"));
         }
         continue;
       }
-
-      std::optional<Symbol> old_sym = OldSymbolOf(c);
+      const std::optional<Symbol> old_sym = OldSymbolOf(c);
       if (old_sym) {
-        if (*old_sym == automata::kUnboundSymbol) {
-          Fail(StrCat("internal: original label '",
-                      mods.OldLabel(doc, c).value_or(std::string(doc.label(c))),
-                      "' missing from the alphabet"));
-          return false;
+        if (*old_sym >= sigma) {
+          return Fail(node, StrCat("internal: original label '",
+                                   mods.OldLabel(doc, c).value_or(
+                                       std::string(doc.label(c))),
+                                   "' missing from the alphabet"));
         }
         old_syms.push_back(*old_sym);
       }
       if (kind == DeltaKind::kDeleted) {
-        // Deleted child: its label fed Proj_old; count the read.
-        ++report.counters.nodes_visited;
-        ++report.counters.elements_visited;
+        k.CountElement();  // its label fed Proj_old
         continue;
       }
-      std::optional<Symbol> new_sym = NewSymbolOf(c);
-      XMLREVAL_CHECK(new_sym.has_value(), "live node must have a label");
-      if (*new_sym == automata::kUnboundSymbol) {
-        path.push_back(ordinal);
-        Fail(StrCat("element '", doc.label(c),
-                    "' is outside the schemas' alphabet"));
-        path.pop_back();
-        return false;
+      const Symbol new_sym = cast.SymbolOf(c);
+      if (new_sym >= sigma) {
+        return Fail(c, CastKernel::UnboundMessage(doc.label(c)));
       }
-      new_syms.push_back(*new_sym);
-      live.push_back(c);
-      live_new_syms.push_back(*new_sym);
-      live_old_syms.push_back(old_sym ? old_syms.back()
-                                      : automata::kInvalidSymbol);
-      live_ordinals.push_back(ordinal);
-      live_inserted.push_back(kind == DeltaKind::kInserted);
+      new_syms.push_back(new_sym);
+      stack.push_back(ChildUnit(c, s, t, s_complex, old_sym, new_sym));
     }
-
-    if (!CheckContent(node, s_type, t_type, s_complex, old_syms, new_syms)) {
-      return false;
+    if (!ContentOk(s, t, s_complex)) {
+      return Fail(node, k.ContentMessage(doc.label(node), t));
     }
-
-    // Recurse per live child with (types_τ(Proj_old), types_τ'(Proj_new)).
-    for (size_t i = 0; i < live.size(); ++i) {
-      TypeId t_child = target.ChildType(t_type, live_new_syms[i]);
-      if (t_child == kInvalidType) {
-        Fail(StrCat("internal: accepted content string uses untyped label '",
-                    doc.label(live[i]), "'"));
-        return false;
-      }
-      path.push_back(live_ordinals[i]);
-      bool ok;
-      if (live_inserted[i] || !s_complex ||
-          live_old_syms[i] == automata::kInvalidSymbol) {
-        // No usable source knowledge: validate explicitly.
-        ok = ValidateInserted(live[i], t_child);
-      } else {
-        TypeId s_child = source.ChildType(s_type, live_old_syms[i]);
-        if (s_child == kInvalidType) {
-          Fail(StrCat("precondition violated: source type '",
-                      source.TypeName(s_type),
-                      "' does not type child label '",
-                      source.alphabet()->Name(live_old_syms[i]), "'"));
-          path.pop_back();
-          return false;
-        }
-        ok = ValidateNode(live[i], s_child, t_child,
-                          cursor.Descend(live_ordinals[i]));
-      }
-      path.pop_back();
-      if (!ok) return false;
-    }
+    std::reverse(stack.begin() + mark, stack.end());
     return true;
+  }
+
+  // The unit of live child `c` of a modified node typed (s, t).
+  Unit ChildUnit(xml::NodeId c, TypeId s, TypeId t, bool s_complex,
+                 std::optional<Symbol> old_sym, Symbol new_sym) const {
+    const TypeId t_child = k.target.ChildType(t, new_sym);
+    if (t_child == kInvalidType) return {c, s, t, Step::kUntyped};
+    // Inserted, or under a simple source type: no usable source knowledge.
+    if (!old_sym || !s_complex) {
+      return {c, kInvalidType, t_child, Step::kInserted};
+    }
+    const TypeId s_child = k.source.ChildType(s, *old_sym);
+    if (s_child == kInvalidType) return {c, s, t, Step::kPrecondition};
+    return {c, s_child, t_child,
+            mods.SubtreeModified(c) ? Step::kModified : Step::kCast};
+  }
+
+  // new_syms ∈ L(τ') knowing old_syms ∈ L(τ): §4.3's scan when the pair
+  // has a c_immed, otherwise b_immed (or the target DFA) over new_syms
+  // alone. Every symbol either automaton reads is a dfa_step.
+  bool ContentOk(TypeId s, TypeId t, bool s_complex) {
+    const automata::ImmediateDfa* pair =
+        s_complex ? k.rel.PairAutomaton(s, t) : nullptr;
+    const automata::ImmediateDfa* single = k.rel.SingleAutomaton(t);
+    if (single == nullptr) {
+      k.counters.dfa_steps += new_syms.size();
+      return k.rel.TargetDfa(t)->Accepts(new_syms);
+    }
+    RevalidationResult result;
+    if (pair != nullptr) {
+      const ScanAutomata forward{pair, single, k.rel.SourceDfa(s)};
+      const ScanAutomata backward{k.rel.ReversePairAutomaton(s, t),
+                                  k.rel.ReverseSingleAutomaton(t),
+                                  k.rel.ReverseSourceDfa(s)};
+      result = RevalidateEdited(
+          forward, backward.c_immed != nullptr ? &backward : nullptr,
+          old_syms, new_syms);
+    } else {
+      automata::ImmediateRunResult run = single->Run(new_syms);
+      result.accepted = run.verdict == automata::Verdict::kAccept;
+      result.symbols_scanned = run.symbols_scanned;
+      result.decided_early = run.decided_early;
+    }
+    k.counters.dfa_steps +=
+        result.symbols_scanned + result.source_symbols_scanned;
+    if (result.decided_early) ++k.counters.immediate_decisions;
+    return result.accepted;
   }
 };
 
@@ -472,56 +336,14 @@ ValidationReport ModValidator::Validate(
   // in the attached args is the modified()-pruning the paper's CastWithMods
   // scaling claim rests on.
   obs::Span span("cast_with_mods.traverse");
-  Walk walk{*relations_,
-            relations_->source(),
-            relations_->target(),
-            doc,
-            mods,
-            cast_,
-            options_.use_incremental_content,
-            doc.BoundTo(*relations_->source().alphabet()),
-            {},
-            {}};
+  Walk walk(*relations_, doc, mods);
   if (!doc.has_root()) {
-    walk.Fail("document has no root element");
+    walk.report.valid = false;
+    walk.report.violation = "document has no root element";
     return std::move(walk.report);
   }
-  xml::NodeId root = doc.root();
-  const Schema& source = relations_->source();
-  const Schema& target = relations_->target();
-
-  std::optional<Symbol> new_sym = walk.NewSymbolOf(root);
-  XMLREVAL_CHECK(new_sym.has_value(), "document root cannot be deleted");
-
-  TypeId t_root = *new_sym != automata::kUnboundSymbol
-                      ? target.RootType(*new_sym)
-                      : kInvalidType;
-  if (t_root == kInvalidType) {
-    ++walk.report.counters.nodes_visited;
-    ++walk.report.counters.elements_visited;
-    walk.Fail(StrCat("root element '", doc.label(root),
-                     "' is not declared by the target schema"));
-    return std::move(walk.report);
-  }
-
-  std::optional<Symbol> old_sym = walk.OldSymbolOf(root);
-  if (mods.IsInserted(root) || !old_sym) {
-    walk.ValidateInserted(root, t_root);
-    return std::move(walk.report);
-  }
-
-  TypeId s_root = *old_sym != automata::kUnboundSymbol
-                      ? source.RootType(*old_sym)
-                      : kInvalidType;
-  if (s_root == kInvalidType) {
-    walk.Fail(StrCat("precondition violated: original root '",
-                     mods.OldLabel(doc, root).value_or(
-                         std::string(doc.label(root))),
-                     "' is not declared by the source schema"));
-    return std::move(walk.report);
-  }
-
-  walk.ValidateNode(root, s_root, t_root, mods.Cursor());
+  walk.Run(doc.root());
+  walk.report.counters = walk.k.counters;
   AttachTraceArgs(span, walk.report.counters);
   return std::move(walk.report);
 }

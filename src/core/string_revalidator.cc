@@ -1,7 +1,6 @@
 #include "core/string_revalidator.h"
 
 #include <algorithm>
-#include <vector>
 
 #include "common/macros.h"
 
@@ -54,117 +53,102 @@ RevalidationResult StringRevalidator::ValidateFresh(
 
 namespace {
 
-// Longest common prefix / suffix between the old and the new string; the
-// edits all fall between them.
-size_t CommonPrefix(std::span<const Symbol> x, std::span<const Symbol> y) {
-  size_t n = std::min(x.size(), y.size());
-  size_t i = 0;
-  while (i < n && x[i] == y[i]) ++i;
-  return i;
-}
+// A symbol span in reading order: front to back, or back to front for the
+// reverse automata. Reading a span backward this way is what spares the
+// backward scan a reversed copy of both strings.
+template <bool kReversed>
+struct Reading {
+  std::span<const Symbol> span;
 
-size_t CommonSuffix(std::span<const Symbol> x, std::span<const Symbol> y) {
-  size_t n = std::min(x.size(), y.size());
-  size_t i = 0;
-  while (i < n && x[x.size() - 1 - i] == y[y.size() - 1 - i]) ++i;
-  return i;
+  size_t size() const { return span.size(); }
+  Symbol operator[](size_t k) const {
+    return kReversed ? span[span.size() - 1 - k] : span[k];
+  }
+  /// The first n symbols read, and the ones read after them.
+  Reading Head(size_t n) const {
+    return {kReversed ? span.last(n) : span.first(n)};
+  }
+  Reading Tail(size_t n) const {
+    return {kReversed ? span.first(span.size() - n) : span.subspan(n)};
+  }
+};
+
+// §4.3's three phases in one direction: the last `unmodified` symbols read
+// from new_s equal the last ones read from old_s.
+template <bool kReversed>
+RevalidationResult Scan(const ScanAutomata& m, Reading<kReversed> old_s,
+                        Reading<kReversed> new_s, size_t unmodified) {
+  RevalidationResult result;
+  result.scanned_backward = kReversed;
+  const size_t edited = new_s.size() - unmodified;
+
+  // Phase 1 (§4.3 step 1): the edited head through b_immed.
+  ImmediateRunResult head =
+      m.b_immed->Run(new_s.Head(edited), m.b_immed->dfa().start_state());
+  result.symbols_scanned = head.symbols_scanned;
+  if (head.decided_early) {
+    result.accepted = head.verdict == Verdict::kAccept;
+    result.decided_early = true;
+    return result;
+  }
+
+  // Phase 2 (step 2): a's state before the unmodified run, recovered from
+  // the old string.
+  const size_t old_head = old_s.size() - unmodified;
+  StateId qa = m.a->start_state();
+  for (size_t k = 0; k < old_head; ++k) qa = m.a->Next(qa, old_s[k]);
+  result.source_symbols_scanned = old_head;
+
+  // Phase 3 (steps 3-4): c_immed from (qa, qb) over the unmodified run.
+  ImmediateRunResult run = m.c_immed->Run(
+      new_s.Tail(edited),
+      m.c_immed->pair_encoding().Encode(qa, head.final_state));
+  result.symbols_scanned += run.symbols_scanned;
+  result.accepted = run.verdict == Verdict::kAccept;
+  result.decided_early = run.decided_early;
+  return result;
 }
 
 }  // namespace
 
+RevalidationResult RevalidateEdited(const ScanAutomata& forward,
+                                    const ScanAutomata* backward,
+                                    std::span<const Symbol> old_s,
+                                    std::span<const Symbol> new_s) {
+  // The common prefix, then the common suffix of what is left, so the two
+  // unmodified runs never overlap (e.g. when old_s == new_s).
+  const size_t limit = std::min(old_s.size(), new_s.size());
+  size_t prefix = 0;
+  while (prefix < limit && old_s[prefix] == new_s[prefix]) ++prefix;
+  size_t suffix = 0;
+  while (suffix < limit - prefix &&
+         old_s[old_s.size() - 1 - suffix] == new_s[new_s.size() - 1 - suffix]) {
+    ++suffix;
+  }
+  // b_immed reads everything outside the unmodified run, so the longer run
+  // wins; ties go forward, which matches the paper's plain b_immed scan in
+  // cost when nothing is unmodified.
+  if (backward != nullptr && prefix > suffix) {
+    return Scan<true>(*backward, {old_s}, {new_s}, prefix);
+  }
+  return Scan<false>(forward, {old_s}, {new_s}, suffix);
+}
+
 RevalidationResult StringRevalidator::RevalidateModifiedForward(
     std::span<const Symbol> old_s, std::span<const Symbol> new_s,
     size_t unmodified_from) const {
-  size_t m = new_s.size();
-  size_t i = std::min(unmodified_from, m);
-  size_t suffix_len = m - i;
-  XMLREVAL_CHECK(suffix_len <= old_s.size(),
+  const size_t unmodified = new_s.size() - std::min(unmodified_from,
+                                                    new_s.size());
+  XMLREVAL_CHECK(unmodified <= old_s.size(),
                  "unmodified suffix longer than the original string");
-
-  RevalidationResult result;
-
-  // Phase 1 (§4.3 step 1): scan the modified prefix with b_immed.
-  ImmediateRunResult phase1 = b_immed_->Run(new_s.subspan(0, i));
-  result.symbols_scanned = phase1.symbols_scanned;
-  if (phase1.decided_early) {
-    result.accepted = phase1.verdict == Verdict::kAccept;
-    result.decided_early = true;
-    return result;
-  }
-  StateId qb = phase1.final_state;
-
-  // Phase 2 (step 2): recover a's state before the unmodified suffix by
-  // running a over the original prefix.
-  size_t old_prefix = old_s.size() - suffix_len;
-  StateId qa = a_->Run(old_s.subspan(0, old_prefix));
-  result.source_symbols_scanned = old_prefix;
-
-  // Phase 3 (steps 3-4): continue with c_immed from (qa, qb).
-  StateId start = c_immed_->pair_encoding().Encode(qa, qb);
-  ImmediateRunResult phase3 = c_immed_->Run(new_s.subspan(i), start);
-  result.symbols_scanned += phase3.symbols_scanned;
-  result.accepted = phase3.verdict == Verdict::kAccept;
-  result.decided_early = phase3.decided_early;
-  return result;
-}
-
-RevalidationResult StringRevalidator::RevalidateModifiedBackward(
-    std::span<const Symbol> old_s, std::span<const Symbol> new_s,
-    size_t unmodified_prefix) const {
-  // Mirror of the forward algorithm on the reversed strings: the common
-  // prefix of (old, new) is the unmodified SUFFIX of the reversed strings.
-  std::vector<Symbol> old_rev(old_s.rbegin(), old_s.rend());
-  std::vector<Symbol> new_rev(new_s.rbegin(), new_s.rend());
-  size_t m = new_rev.size();
-  size_t i = m - std::min(unmodified_prefix, m);
-
-  RevalidationResult result;
-  result.scanned_backward = true;
-
-  ImmediateRunResult phase1 =
-      b_rev_immed_->Run(std::span<const Symbol>(new_rev).subspan(0, i));
-  result.symbols_scanned = phase1.symbols_scanned;
-  if (phase1.decided_early) {
-    result.accepted = phase1.verdict == Verdict::kAccept;
-    result.decided_early = true;
-    return result;
-  }
-  StateId qb = phase1.final_state;
-
-  size_t suffix_len = m - i;  // = unmodified_prefix clamped
-  size_t old_prefix = old_rev.size() - suffix_len;
-  StateId qa =
-      a_rev_->Run(std::span<const Symbol>(old_rev).subspan(0, old_prefix));
-  result.source_symbols_scanned = old_prefix;
-
-  StateId start = c_rev_immed_->pair_encoding().Encode(qa, qb);
-  ImmediateRunResult phase3 =
-      c_rev_immed_->Run(std::span<const Symbol>(new_rev).subspan(i), start);
-  result.symbols_scanned += phase3.symbols_scanned;
-  result.accepted = phase3.verdict == Verdict::kAccept;
-  result.decided_early = phase3.decided_early;
-  return result;
+  return Scan<false>(Forward(), {old_s}, {new_s}, unmodified);
 }
 
 RevalidationResult StringRevalidator::RevalidateModified(
     std::span<const Symbol> old_s, std::span<const Symbol> new_s) const {
-  size_t prefix = CommonPrefix(old_s, new_s);
-  size_t suffix = CommonSuffix(old_s, new_s);
-  // Guard against prefix/suffix overlap (e.g. old == new): the unmodified
-  // regions may not double-count symbols.
-  size_t slack = std::min(old_s.size(), new_s.size());
-  if (prefix + suffix > slack) suffix = slack - prefix;
-
-  // Forward scans the modified head (new_s.size() - suffix symbols) through
-  // b_immed; backward scans the modified tail (new_s.size() - prefix).
-  // Choose the direction with less pre-work; ties go forward (which equals
-  // the paper's plain-b_immed fallback in cost when suffix == 0).
-  size_t forward_cost = new_s.size() - suffix;
-  size_t backward_cost = new_s.size() - prefix;
-  if (b_rev_immed_ && backward_cost < forward_cost) {
-    return RevalidateModifiedBackward(old_s, new_s, prefix);
-  }
-  return RevalidateModifiedForward(old_s, new_s, new_s.size() - suffix);
+  if (!b_rev_immed_) return RevalidateEdited(Forward(), nullptr, old_s, new_s);
+  const ScanAutomata backward{&*c_rev_immed_, &*b_rev_immed_, &*a_rev_};
+  return RevalidateEdited(Forward(), &backward, old_s, new_s);
 }
 
 }  // namespace xmlreval::core

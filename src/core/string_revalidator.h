@@ -16,6 +16,10 @@
 //     choosing forward or reverse direction by where the edits fall.
 //   * The single-schema update problem is the a == b special case
 //     (the one-argument constructor).
+//
+// The §4.3 scan itself is the free function RevalidateEdited over one
+// direction's automata, so core::ModValidator runs the same code on a
+// modified node's child-label strings with the automata of TypeRelations.
 
 #ifndef XMLREVAL_CORE_STRING_REVALIDATOR_H_
 #define XMLREVAL_CORE_STRING_REVALIDATOR_H_
@@ -43,6 +47,28 @@ struct RevalidationResult {
   /// The reverse-automaton direction was chosen (§4.3).
   bool scanned_backward = false;
 };
+
+/// One scan direction's automata for §4.3. Forward automata read a string
+/// front to back; reverse ones (the determinized reverses of footnote 3)
+/// read it back to front.
+struct ScanAutomata {
+  const automata::ImmediateDfa* c_immed = nullptr;  // pair automaton (a, b)
+  const automata::ImmediateDfa* b_immed = nullptr;  // single automaton of b
+  const Dfa* a = nullptr;                           // the source DFA
+};
+
+/// §4.3: decides new_s ∈ L(b) where old_s ∈ L(a) and new_s is old_s after
+/// edits. The edits fall between the strings' common prefix and common
+/// suffix. The scan goes forward, or backward when `backward` is non-null
+/// and the prefix is the longer, so that it ends on the longer unmodified
+/// run: b_immed reads the new string up to that run (phase 1), a reads the
+/// old string up to it (phase 2, counted in source_symbols_scanned), and
+/// c_immed continues from the pair of states over the run (phase 3).
+/// Backward scans read the spans in place; nothing is copied.
+RevalidationResult RevalidateEdited(const ScanAutomata& forward,
+                                    const ScanAutomata* backward,
+                                    std::span<const Symbol> old_s,
+                                    std::span<const Symbol> new_s);
 
 class StringRevalidator {
  public:
@@ -93,9 +119,7 @@ class StringRevalidator {
  private:
   StringRevalidator() = default;
 
-  RevalidationResult RevalidateModifiedBackward(
-      std::span<const Symbol> old_s, std::span<const Symbol> new_s,
-      size_t unmodified_prefix) const;
+  ScanAutomata Forward() const { return {&*c_immed_, &*b_immed_, &*a_}; }
 
   std::optional<Dfa> a_;
   std::optional<Dfa> b_;

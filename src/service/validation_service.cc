@@ -541,8 +541,7 @@ Result<core::ValidationReport> ValidationService::CastWithMods(
   auto run = [&]() -> Result<core::ValidationReport> {
     ASSIGN_OR_RETURN(RelationsPtr relations, cache_.Get(source, target));
     auto guard = registry_.ReadGuard();
-    return core::ModValidator(relations.get(), options_.mods)
-        .Validate(doc, mods);
+    return core::ModValidator(relations.get()).Validate(doc, mods);
   };
   return Record(run(), cast_with_mods_op_, start, PairLatency(source, target),
                 &request_scope, doc.NodeCount());
@@ -599,8 +598,7 @@ Result<ValidationService::EditStreamResult> ValidationService::SubmitEditStream(
     // and run the §3.3 incremental validator as CastWithMods would.
     xml::ModificationIndex mods = session.Seal();
     result.report =
-        core::ModValidator(&analyzer->relations(), options_.mods)
-            .Validate(*doc, mods);
+        core::ModValidator(&analyzer->relations()).Validate(*doc, mods);
     RETURN_IF_ERROR(session.Commit());
     return result;
   };

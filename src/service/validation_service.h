@@ -98,7 +98,6 @@ class ValidationService {
   struct Options {
     RelationsCache::Options cache;
     core::CastValidator::Options cast;
-    core::ModValidator::Options mods;
     /// Batch pipeline sizing; the executor is created lazily on the first
     /// SubmitBatch. threads == 0 means hardware concurrency.
     size_t batch_threads = 0;

@@ -4,22 +4,6 @@
 
 namespace xmlreval::xml {
 
-DeweyPath DeweyPath::Of(const Document& doc, NodeId node) {
-  std::vector<uint32_t> components;
-  NodeId current = node;
-  while (doc.parent(current) != kInvalidNode) {
-    uint32_t ordinal = 0;
-    for (NodeId s = doc.prev_sibling(current); s != kInvalidNode;
-         s = doc.prev_sibling(s)) {
-      ++ordinal;
-    }
-    components.push_back(ordinal);
-    current = doc.parent(current);
-  }
-  std::reverse(components.begin(), components.end());
-  return DeweyPath(std::move(components));
-}
-
 DeweyPath DeweyPath::Relative(const Document& doc, NodeId node,
                               NodeId ancestor) {
   std::vector<uint32_t> components;
@@ -35,18 +19,6 @@ DeweyPath DeweyPath::Relative(const Document& doc, NodeId node,
   }
   std::reverse(components.begin(), components.end());
   return DeweyPath(std::move(components));
-}
-
-DeweyPath DeweyPath::Child(uint32_t ordinal) const {
-  std::vector<uint32_t> components = components_;
-  components.push_back(ordinal);
-  return DeweyPath(std::move(components));
-}
-
-bool DeweyPath::IsPrefixOf(const DeweyPath& other) const {
-  if (components_.size() > other.components_.size()) return false;
-  return std::equal(components_.begin(), components_.end(),
-                    other.components_.begin());
 }
 
 std::string DeweyPath::ToString() const {

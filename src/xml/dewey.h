@@ -2,9 +2,8 @@
 //
 // A DeweyPath identifies a node by the sequence of child indices on the
 // path from the root: the root is [], its third child is [2], that child's
-// first child is [2,0], and so on. The paper's `modified()` predicate is
-// implemented by storing the Dewey paths of updated nodes in a PathTrie
-// (path_trie.h) and asking whether any stored path extends the query path.
+// first child is [2,0], and so on. Validators report where a violation
+// lies as a DeweyPath, built once from the failing node.
 
 #ifndef XMLREVAL_XML_DEWEY_H_
 #define XMLREVAL_XML_DEWEY_H_
@@ -25,27 +24,21 @@ class DeweyPath {
       : components_(std::move(components)) {}
 
   /// Path of `node` within `doc`, computed by walking parent links
-  /// (O(depth * avg-fanout); fine for update logging, not used on hot
-  /// validation paths where the path is maintained incrementally).
-  static DeweyPath Of(const Document& doc, NodeId node);
+  /// (O(depth * avg-fanout); built only for the violation a validator
+  /// reports, never on a hot path).
+  static DeweyPath Of(const Document& doc, NodeId node) {
+    return Relative(doc, node, kInvalidNode);
+  }
 
   /// Path of `node` RELATIVE to `ancestor` (Relative(doc, n, n) is ε).
-  /// `ancestor` must lie on `node`'s parent chain; used by subtree
-  /// validators whose reports are rebased by the caller. Same cost model
-  /// as Of — only computed on failure paths.
+  /// `ancestor` must lie on `node`'s parent chain, or be kInvalidNode for
+  /// the path from the root. Same cost model as Of.
   static DeweyPath Relative(const Document& doc, NodeId node,
                             NodeId ancestor);
 
   const std::vector<uint32_t>& components() const { return components_; }
   size_t depth() const { return components_.size(); }
   bool IsRoot() const { return components_.empty(); }
-
-  /// Extends with one more child step.
-  DeweyPath Child(uint32_t ordinal) const;
-
-  /// True iff `this` is a prefix of `other` (every node is a prefix of
-  /// itself).
-  bool IsPrefixOf(const DeweyPath& other) const;
 
   /// "1.2.0"-style rendering; "ε" for the root.
   std::string ToString() const;

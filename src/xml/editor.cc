@@ -83,9 +83,18 @@ Status DocumentEditor::MarkTouched(NodeId node, DeltaKind kind,
       // rename's original label.
     }
     // kTextEdited over anything: no annotation change needed.
+  } else {
+    touched_.push_back(node);
   }
-  touched_.insert(node);
   ++index_.update_count_;
+  return Status::OK();
+}
+
+Status DocumentEditor::CheckInsertParent(NodeId parent) const {
+  if (sealed_) return Status::FailedPrecondition("editor already sealed");
+  if (index_.IsDeleted(parent)) {
+    return Status::FailedPrecondition("cannot insert under a deleted node");
+  }
   return Status::OK();
 }
 
@@ -114,7 +123,7 @@ Status DocumentEditor::RenameElement(NodeId node, std::string_view new_label) {
 
 Result<NodeId> DocumentEditor::InsertElementBefore(NodeId reference,
                                                    std::string_view label) {
-  if (sealed_) return Status::FailedPrecondition("editor already sealed");
+  RETURN_IF_ERROR(CheckInsertSibling(reference));
   NodeId node = doc_->CreateElement(label);
   RETURN_IF_ERROR(doc_->InsertBefore(reference, node));
   RETURN_IF_ERROR(MarkTouched(node, DeltaKind::kInserted));
@@ -123,7 +132,7 @@ Result<NodeId> DocumentEditor::InsertElementBefore(NodeId reference,
 
 Result<NodeId> DocumentEditor::InsertElementAfter(NodeId reference,
                                                   std::string_view label) {
-  if (sealed_) return Status::FailedPrecondition("editor already sealed");
+  RETURN_IF_ERROR(CheckInsertSibling(reference));
   NodeId node = doc_->CreateElement(label);
   RETURN_IF_ERROR(doc_->InsertAfter(reference, node));
   RETURN_IF_ERROR(MarkTouched(node, DeltaKind::kInserted));
@@ -132,7 +141,7 @@ Result<NodeId> DocumentEditor::InsertElementAfter(NodeId reference,
 
 Result<NodeId> DocumentEditor::InsertElementFirstChild(NodeId parent,
                                                        std::string_view label) {
-  if (sealed_) return Status::FailedPrecondition("editor already sealed");
+  RETURN_IF_ERROR(CheckInsertParent(parent));
   NodeId node = doc_->CreateElement(label);
   RETURN_IF_ERROR(doc_->InsertFirstChild(parent, node));
   RETURN_IF_ERROR(MarkTouched(node, DeltaKind::kInserted));
@@ -141,7 +150,7 @@ Result<NodeId> DocumentEditor::InsertElementFirstChild(NodeId parent,
 
 Result<NodeId> DocumentEditor::InsertTextFirstChild(NodeId parent,
                                                     std::string_view text) {
-  if (sealed_) return Status::FailedPrecondition("editor already sealed");
+  RETURN_IF_ERROR(CheckInsertParent(parent));
   NodeId node = doc_->CreateText(text);
   RETURN_IF_ERROR(doc_->InsertFirstChild(parent, node));
   RETURN_IF_ERROR(MarkTouched(node, DeltaKind::kInserted));
@@ -150,7 +159,7 @@ Result<NodeId> DocumentEditor::InsertTextFirstChild(NodeId parent,
 
 Result<NodeId> DocumentEditor::InsertTextBefore(NodeId reference,
                                                 std::string_view text) {
-  if (sealed_) return Status::FailedPrecondition("editor already sealed");
+  RETURN_IF_ERROR(CheckInsertSibling(reference));
   NodeId node = doc_->CreateText(text);
   RETURN_IF_ERROR(doc_->InsertBefore(reference, node));
   RETURN_IF_ERROR(MarkTouched(node, DeltaKind::kInserted));
@@ -159,7 +168,7 @@ Result<NodeId> DocumentEditor::InsertTextBefore(NodeId reference,
 
 Result<NodeId> DocumentEditor::InsertTextAfter(NodeId reference,
                                                std::string_view text) {
-  if (sealed_) return Status::FailedPrecondition("editor already sealed");
+  RETURN_IF_ERROR(CheckInsertSibling(reference));
   NodeId node = doc_->CreateText(text);
   RETURN_IF_ERROR(doc_->InsertAfter(reference, node));
   RETURN_IF_ERROR(MarkTouched(node, DeltaKind::kInserted));
@@ -181,7 +190,9 @@ Status DocumentEditor::DeleteLeaf(NodeId node) {
   if (node == doc_->root()) {
     return Status::FailedPrecondition("cannot delete the document root");
   }
-  return MarkTouched(node, DeltaKind::kDeleted);
+  RETURN_IF_ERROR(MarkTouched(node, DeltaKind::kDeleted));
+  deleted_.push_back(node);
+  return Status::OK();
 }
 
 Status DocumentEditor::UpdateText(NodeId node, std::string_view text) {
@@ -198,16 +209,16 @@ Status DocumentEditor::UpdateText(NodeId node, std::string_view text) {
 
 ModificationIndex DocumentEditor::Seal() {
   sealed_ = true;
-  // Dewey paths are computed against the FINAL encoded tree (deleted nodes
-  // still linked), so earlier inserts cannot invalidate later paths.
+  // modified() holds for each touched node and all its ancestors in the
+  // final encoded tree (deleted nodes still linked). A walk stops at the
+  // first node whose chain an earlier walk marked, so every node is
+  // entered at most once.
   for (NodeId node : touched_) {
-    index_.trie_.Insert(DeweyPath::Of(*doc_, node));
-  }
-  // Remember what must be physically removed; the index itself is handed
-  // to the caller (ModificationIndex owns the trie and is move-only).
-  deleted_nodes_.clear();
-  for (const auto& [node, delta] : index_.deltas_) {
-    if (delta.kind == DeltaKind::kDeleted) deleted_nodes_.push_back(node);
+    for (NodeId n = node; n != kInvalidNode; n = doc_->parent(n)) {
+      bool& marked = index_.deltas_[n].chain_marked;
+      if (marked) break;
+      marked = true;
+    }
   }
   return std::move(index_);
 }
@@ -240,25 +251,13 @@ Status DocumentEditor::Commit() {
   if (!sealed_) {
     return Status::FailedPrecondition("Seal() the editor before Commit()");
   }
-  // Deleted nodes are leaves in the effective tree but may have deleted
-  // children; remove bottom-up by repeated leaf-removal passes.
-  std::vector<NodeId> deleted = deleted_nodes_;
-  bool progress = true;
-  while (!deleted.empty() && progress) {
-    progress = false;
-    std::vector<NodeId> remaining;
-    for (NodeId node : deleted) {
-      if (doc_->HasChildren(node)) {
-        remaining.push_back(node);
-      } else {
-        RETURN_IF_ERROR(doc_->RemoveLeaf(node));
-        progress = true;
-      }
+  // DeleteLeaf takes only effective leaves and no insert lands under a
+  // deleted node, so by the time a node is removed its children are gone.
+  for (NodeId node : deleted_) {
+    if (doc_->HasChildren(node)) {
+      return Status::Internal("deleted subtree contains non-deleted nodes");
     }
-    deleted.swap(remaining);
-  }
-  if (!deleted.empty()) {
-    return Status::Internal("deleted subtree contains non-deleted nodes");
+    RETURN_IF_ERROR(doc_->RemoveLeaf(node));
   }
   return Status::OK();
 }

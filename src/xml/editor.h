@@ -13,9 +13,10 @@
 //   * a text-value update to Δ^χ_χ (label unchanged, content dirty).
 //
 // Seal() freezes the edit session and produces a ModificationIndex: the
-// Dewey-path trie implementing modified() plus per-node annotations, which
-// core::ModValidator consumes. Commit() physically removes deleted nodes
-// and drops the annotations, yielding the plain edited document.
+// per-node annotations plus a mark on every ancestor of a touched node,
+// which together answer modified() by NodeId for core::ModValidator.
+// Commit() physically removes deleted nodes and drops the annotations,
+// yielding the plain edited document.
 
 #ifndef XMLREVAL_XML_EDITOR_H_
 #define XMLREVAL_XML_EDITOR_H_
@@ -23,12 +24,10 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 #include "automata/alphabet.h"
 #include "common/result.h"
-#include "xml/dewey.h"
-#include "xml/path_trie.h"
 #include "xml/tree.h"
 
 namespace xmlreval::xml {
@@ -45,14 +44,10 @@ enum class DeltaKind : uint8_t {
 /// Read-only view of a sealed edit session.
 class ModificationIndex {
  public:
-  /// The paper's modified() predicate: does the subtree rooted at the node
-  /// with Dewey path `path` (in the encoded tree) contain any modification?
-  bool SubtreeModified(const DeweyPath& path) const {
-    return trie_.ContainsPrefixedBy(path);
-  }
-
-  /// Cursor for lockstep traversal (O(1) per tree step).
-  TrieCursor Cursor() const { return TrieCursor(trie_); }
+  /// The paper's modified() predicate: does the subtree rooted at `node`
+  /// (in the encoded tree) contain any modification? True exactly for the
+  /// touched nodes and their ancestors.
+  bool SubtreeModified(NodeId node) const { return deltas_.count(node) != 0; }
 
   DeltaKind Kind(NodeId node) const {
     auto it = deltas_.find(node);
@@ -99,16 +94,19 @@ class ModificationIndex {
  private:
   friend class DocumentEditor;
 
+  // One entry per touched node, and a kUnchanged one per untouched ancestor
+  // of a touched node (added by Seal).
   struct Delta {
-    DeltaKind kind;
+    DeltaKind kind = DeltaKind::kUnchanged;
     std::string old_label;   // original label in T, for kRenamed/kDeleted
     // Interned symbol of old_label, captured at edit time (kUnboundSymbol
     // when the document was unbound at that point).
     automata::Symbol old_symbol = automata::kUnboundSymbol;
     bool never_existed = false;  // inserted then deleted within the session
+    // Seal has entered this node and every ancestor of it.
+    bool chain_marked = false;
   };
 
-  PathTrie trie_;
   std::unordered_map<NodeId, Delta> deltas_;
   size_t update_count_ = 0;
 };
@@ -144,7 +142,9 @@ class DocumentEditor {
   /// Update kind 1: replace the label of an element node.
   Status RenameElement(NodeId node, std::string_view new_label);
 
-  /// Update kind 2: insert a new leaf element. Returns the new node.
+  /// Update kind 2: insert a new leaf element. Returns the new node. Every
+  /// insert fails with kFailedPrecondition when the new node's parent is
+  /// deleted.
   Result<NodeId> InsertElementBefore(NodeId reference, std::string_view label);
   Result<NodeId> InsertElementAfter(NodeId reference, std::string_view label);
   Result<NodeId> InsertElementFirstChild(NodeId parent, std::string_view label);
@@ -155,7 +155,8 @@ class DocumentEditor {
   Result<NodeId> InsertTextAfter(NodeId reference, std::string_view text);
 
   /// Update kind 3: delete a leaf. A node all of whose children are already
-  /// deleted counts as a leaf, so subtrees are deleted bottom-up.
+  /// deleted counts as a leaf, so subtrees are deleted bottom-up — the
+  /// order Commit removes them in.
   Status DeleteLeaf(NodeId node);
 
   /// Replace the character data of a text node (a Δ^χ_χ modification).
@@ -164,13 +165,15 @@ class DocumentEditor {
   /// Replays one recorded operation (dispatch over EditOp::Kind).
   Status Apply(const EditOp& op);
 
-  /// Freezes the session: computes the Dewey trie of all touched nodes
-  /// against the final encoded tree and returns the index. The editor must
-  /// not be used afterwards.
+  /// Freezes the session: marks the ancestors of every touched node in the
+  /// final encoded tree, each walk stopping at the first node already
+  /// marked, and returns the index. Sealing costs the union of the touched
+  /// nodes' ancestor chains. The editor must not be used afterwards.
   ModificationIndex Seal();
 
-  /// Physically removes deleted nodes from the document. Call after
-  /// validation, when the Δ-encoding is no longer needed.
+  /// Physically removes deleted nodes from the document in one pass over
+  /// the deletion order. Call after validation, when the Δ-encoding is no
+  /// longer needed.
   Status Commit();
 
   /// Whether `node` has been deleted within this (unsealed) session.
@@ -183,13 +186,22 @@ class DocumentEditor {
   Status MarkTouched(NodeId node, DeltaKind kind, std::string old_label = "",
                      automata::Symbol old_symbol = automata::kUnboundSymbol);
 
+  /// OK unless the editor is sealed or `parent`, the parent an insert
+  /// would attach to, is deleted (Commit cannot remove a deleted node that
+  /// has a live child).
+  Status CheckInsertParent(NodeId parent) const;
+  Status CheckInsertSibling(NodeId reference) const {
+    return CheckInsertParent(doc_->IsAlive(reference) ? doc_->parent(reference)
+                                                      : kInvalidNode);
+  }
+
   /// True if `node` has no live (non-deleted) children.
   bool EffectiveLeaf(NodeId node) const;
 
   Document* doc_;
   ModificationIndex index_;
-  std::unordered_set<NodeId> touched_;  // nodes whose paths go into the trie
-  std::vector<NodeId> deleted_nodes_;   // captured at Seal() for Commit()
+  std::vector<NodeId> touched_;  // each touched node once, in first-touch order
+  std::vector<NodeId> deleted_;  // deletion order: children before parents
   bool sealed_ = false;
 };
 

@@ -2,10 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <string_view>
-
 #include "core/full_validator.h"
-#include "obs/trace.h"
 #include "schema/dtd_parser.h"
 #include "schema/xsd_parser.h"
 #include "tests/test_util.h"
@@ -236,42 +233,6 @@ TEST(CastValidatorTest, ScratchReuseMatchesPlainValidate) {
         << text;
     EXPECT_EQ(plain.counters.dfa_steps, reused.counters.dfa_steps) << text;
   }
-}
-
-// ValidateSubtree is the ModValidator's workhorse; it now carries its own
-// trace span so per-subtree work shows up in Chrome traces.
-TEST(CastValidatorTest, ValidateSubtreeEmitsSubtreeSpan) {
-#ifdef XMLREVAL_OBS_DISABLED
-  GTEST_SKIP() << "instrumentation compiled out";
-#endif
-  DtdPair p;
-  p.Load("<!ELEMENT r (a*, b?)><!ELEMENT a (#PCDATA)><!ELEMENT b EMPTY>",
-         "<!ELEMENT r (a*)><!ELEMENT a (#PCDATA)><!ELEMENT b EMPTY>");
-  auto doc = xml::ParseXml("<r><a>1</a></r>");
-  ASSERT_TRUE(doc.ok());
-  auto sym = p.alphabet->Find("r");
-  ASSERT_TRUE(sym.has_value());
-  TypeId s_root = p.source->RootType(*sym);
-  TypeId t_root = p.target->RootType(*sym);
-  ASSERT_NE(s_root, schema::kInvalidType);
-  ASSERT_NE(t_root, schema::kInvalidType);
-
-  CastValidator cast(p.relations.get());
-  obs::TraceSink::Global().Clear();
-  obs::SetTraceEnabled(true);
-  ValidationReport r =
-      cast.ValidateSubtree(*doc, doc->root(), s_root, t_root);
-  obs::SetTraceEnabled(false);
-  EXPECT_TRUE(r.valid) << r.violation;
-
-  bool saw_subtree_span = false;
-  for (const auto& event : obs::TraceSink::Global().Events()) {
-    if (std::string_view(event.name) == "cast.subtree") {
-      saw_subtree_span = true;
-    }
-  }
-  EXPECT_TRUE(saw_subtree_span);
-  obs::TraceSink::Global().Clear();
 }
 
 }  // namespace

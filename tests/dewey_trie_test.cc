@@ -3,7 +3,6 @@
 #include "tests/test_util.h"
 #include "xml/dewey.h"
 #include "xml/parser.h"
-#include "xml/path_trie.h"
 
 namespace xmlreval::xml {
 namespace {
@@ -35,88 +34,13 @@ TEST(DeweyPathTest, OfCountsTextSiblings) {
 }
 
 TEST(DeweyPathTest, PrefixAndOrdering) {
-  EXPECT_TRUE(P({}).IsPrefixOf(P({1, 2})));
-  EXPECT_TRUE(P({1}).IsPrefixOf(P({1, 2})));
-  EXPECT_TRUE(P({1, 2}).IsPrefixOf(P({1, 2})));
-  EXPECT_FALSE(P({1, 2}).IsPrefixOf(P({1})));
-  EXPECT_FALSE(P({2}).IsPrefixOf(P({1, 2})));
   EXPECT_LT(P({1}), P({1, 0}));
   EXPECT_LT(P({0, 9}), P({1}));
 }
 
 TEST(DeweyPathTest, ChildAndToString) {
-  DeweyPath p = P({}).Child(2).Child(0);
-  EXPECT_EQ(p, P({2, 0}));
-  EXPECT_EQ(p.ToString(), "2.0");
+  EXPECT_EQ(P({2, 0}).ToString(), "2.0");
   EXPECT_EQ(P({}).ToString(), "ε");
-}
-
-TEST(PathTrieTest, EmptyTrie) {
-  PathTrie trie;
-  EXPECT_TRUE(trie.empty());
-  EXPECT_FALSE(trie.ContainsPrefixedBy(P({0})));
-  EXPECT_FALSE(trie.ContainsExactly(P({})));
-}
-
-TEST(PathTrieTest, PrefixSemantics) {
-  PathTrie trie;
-  trie.Insert(P({1, 2, 3}));
-  // Ancestors "contain a modification below them".
-  EXPECT_TRUE(trie.ContainsPrefixedBy(P({})));
-  EXPECT_TRUE(trie.ContainsPrefixedBy(P({1})));
-  EXPECT_TRUE(trie.ContainsPrefixedBy(P({1, 2})));
-  EXPECT_TRUE(trie.ContainsPrefixedBy(P({1, 2, 3})));
-  // Descendants of the modified node are NOT automatically modified...
-  EXPECT_FALSE(trie.ContainsPrefixedBy(P({1, 2, 3, 0})));
-  // ...and siblings are untouched.
-  EXPECT_FALSE(trie.ContainsPrefixedBy(P({1, 3})));
-  EXPECT_FALSE(trie.ContainsPrefixedBy(P({0})));
-
-  EXPECT_TRUE(trie.ContainsExactly(P({1, 2, 3})));
-  EXPECT_FALSE(trie.ContainsExactly(P({1, 2})));
-  EXPECT_EQ(trie.size(), 1u);
-}
-
-TEST(PathTrieTest, MultipleInsertsAndClear) {
-  PathTrie trie;
-  trie.Insert(P({0}));
-  trie.Insert(P({2, 1}));
-  trie.Insert(P({2, 1}));  // duplicate
-  EXPECT_EQ(trie.size(), 2u);
-  EXPECT_TRUE(trie.ContainsPrefixedBy(P({2})));
-  trie.Clear();
-  EXPECT_TRUE(trie.empty());
-  EXPECT_FALSE(trie.ContainsPrefixedBy(P({0})));
-}
-
-TEST(TrieCursorTest, LockstepNavigation) {
-  PathTrie trie;
-  trie.Insert(P({1, 0}));
-  TrieCursor root(trie);
-  EXPECT_TRUE(root.SubtreeModified());
-  EXPECT_FALSE(root.ExactlyHere());
-
-  TrieCursor wrong = root.Descend(0);
-  EXPECT_TRUE(wrong.Null());
-  EXPECT_FALSE(wrong.SubtreeModified());
-  // Descending a null cursor stays null.
-  EXPECT_TRUE(wrong.Descend(5).Null());
-
-  TrieCursor right = root.Descend(1);
-  ASSERT_FALSE(right.Null());
-  TrieCursor leaf = right.Descend(0);
-  ASSERT_FALSE(leaf.Null());
-  EXPECT_TRUE(leaf.ExactlyHere());
-  EXPECT_TRUE(leaf.Descend(7).Null());
-}
-
-TEST(PathTrieTest, RootInsertMarksEverything) {
-  PathTrie trie;
-  trie.Insert(P({}));
-  EXPECT_TRUE(trie.ContainsPrefixedBy(P({})));
-  EXPECT_TRUE(trie.ContainsExactly(P({})));
-  TrieCursor cursor(trie);
-  EXPECT_TRUE(cursor.ExactlyHere());
 }
 
 }  // namespace

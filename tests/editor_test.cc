@@ -123,10 +123,10 @@ TEST(EditorTest, UpdateTextMarksNode) {
   EXPECT_EQ(doc.text(text), "150");
   ModificationIndex mods = editor.Seal();
   EXPECT_EQ(mods.Kind(text), DeltaKind::kTextEdited);
-  EXPECT_TRUE(mods.SubtreeModified(DeweyPath::Of(doc, q)));
+  EXPECT_TRUE(mods.SubtreeModified(q));
 }
 
-TEST(EditorTest, SealBuildsTrieOverTouchedPaths) {
+TEST(EditorTest, SealMarksTouchedNodesAndAncestors) {
   ASSERT_OK_AND_ASSIGN(Document doc,
                        ParseXml("<r><a><x/></a><b><y/></b></r>"));
   auto kids = ElementChildren(doc, doc.root());
@@ -134,10 +134,46 @@ TEST(EditorTest, SealBuildsTrieOverTouchedPaths) {
   DocumentEditor editor(&doc);
   ASSERT_OK(editor.RenameElement(y, "z"));
   ModificationIndex mods = editor.Seal();
-  EXPECT_TRUE(mods.SubtreeModified(DeweyPath()));            // root
-  EXPECT_TRUE(mods.SubtreeModified(DeweyPath::Of(doc, kids[1])));
-  EXPECT_TRUE(mods.SubtreeModified(DeweyPath::Of(doc, y)));
-  EXPECT_FALSE(mods.SubtreeModified(DeweyPath::Of(doc, kids[0])));
+  EXPECT_TRUE(mods.SubtreeModified(doc.root()));
+  EXPECT_TRUE(mods.SubtreeModified(kids[1]));
+  EXPECT_TRUE(mods.SubtreeModified(y));
+  EXPECT_FALSE(mods.SubtreeModified(kids[0]));
+}
+
+// A node inserted under a deleted one would survive Commit as the child of
+// a removed node; all six inserts refuse such a parent.
+TEST(EditorTest, InsertUnderDeletedNodeRejected) {
+  ASSERT_OK_AND_ASSIGN(Document doc, ParseXml("<r><a/><b/></r>"));
+  auto kids = ElementChildren(doc, doc.root());
+  DocumentEditor editor(&doc);
+  ASSERT_OK(editor.DeleteLeaf(kids[0]));
+  EXPECT_EQ(editor.InsertElementFirstChild(kids[0], "x").status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(editor.InsertTextFirstChild(kids[0], "t").status().code(),
+            StatusCode::kFailedPrecondition);
+  // The deleted node's siblings may still be inserted next to it.
+  ASSERT_OK(editor.InsertElementAfter(kids[0], "y").status());
+  editor.Seal();
+  ASSERT_OK(editor.Commit());
+  EXPECT_EQ(Serialize(doc, Compact()), "<r><y/><b/></r>");
+
+  ASSERT_OK_AND_ASSIGN(Document nested, ParseXml("<r><a><c/></a></r>"));
+  NodeId a = ElementChildren(nested, nested.root())[0];
+  NodeId c = ElementChildren(nested, a)[0];
+  DocumentEditor nested_editor(&nested);
+  ASSERT_OK(nested_editor.DeleteLeaf(c));
+  ASSERT_OK(nested_editor.DeleteLeaf(a));
+  EXPECT_EQ(nested_editor.InsertElementBefore(c, "x").status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(nested_editor.InsertElementAfter(c, "x").status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(nested_editor.InsertTextBefore(c, "t").status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(nested_editor.InsertTextAfter(c, "t").status().code(),
+            StatusCode::kFailedPrecondition);
+  nested_editor.Seal();
+  ASSERT_OK(nested_editor.Commit());
+  EXPECT_EQ(Serialize(nested, Compact()), "<r/>");
 }
 
 TEST(EditorTest, OperationsRejectedAfterSeal) {

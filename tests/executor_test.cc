@@ -12,6 +12,13 @@
 namespace xmlreval::common {
 namespace {
 
+// Executor options with only the worker count set.
+Executor::Options Threads(size_t n) {
+  Executor::Options options;
+  options.threads = n;
+  return options;
+}
+
 // The old ThreadPool contract, inherited by the executor: everything
 // accepted before destruction runs.
 TEST(ExecutorTest, RunsAllTasksAndDrainsOnShutdown) {
@@ -55,14 +62,14 @@ TEST(ExecutorTest, SubmitRacingShutdownNeverDropsAcceptedTask) {
 }
 
 TEST(ExecutorTest, SubmitRefusedAfterShutdown) {
-  Executor executor(Executor::Options{.threads = 2});
+  Executor executor(Threads(2));
   executor.Shutdown();
   EXPECT_FALSE(executor.Submit([] {}));
   executor.Shutdown();  // idempotent
 }
 
 TEST(ExecutorTest, StatsCountSubmittedAndExecuted) {
-  Executor executor(Executor::Options{.threads = 2});
+  Executor executor(Threads(2));
   std::atomic<int> ran{0};
   for (int i = 0; i < 50; ++i) {
     ASSERT_TRUE(executor.Submit([&] { ran.fetch_add(1); }));
@@ -77,7 +84,7 @@ TEST(ExecutorTest, StatsCountSubmittedAndExecuted) {
 // A worker-side fan-out that the spawning worker cannot drain alone (it
 // blocks in the middle) forces peers to steal from its deque.
 TEST(ExecutorTest, IdleWorkersStealFromBusyPeer) {
-  Executor executor(Executor::Options{.threads = 4});
+  Executor executor(Threads(4));
   constexpr int kSubtasks = 64;
   std::atomic<int> ran{0};
   std::atomic<bool> release{false};
@@ -112,7 +119,7 @@ TEST(ExecutorTest, IdleWorkersStealFromBusyPeer) {
 }
 
 TEST(ExecutorTest, OnWorkerThreadDistinguishesWorkers) {
-  Executor executor(Executor::Options{.threads = 1});
+  Executor executor(Threads(1));
   EXPECT_FALSE(executor.OnWorkerThread());
   std::atomic<bool> on_worker{false};
   TaskGroup group(&executor);
@@ -152,7 +159,7 @@ TEST(ExecutorTest, QueueDepthHookMirrorsQueueAndSettlesToZero) {
 // HasIdleWorker is the lazy-splitting heuristic: with a single worker
 // busy, it must read false (1-thread runs never split).
 TEST(ExecutorTest, SingleBusyWorkerReportsNoIdlePeer) {
-  Executor executor(Executor::Options{.threads = 1});
+  Executor executor(Threads(1));
   std::atomic<bool> checked{false};
   bool idle_seen = true;
   TaskGroup group(&executor);
@@ -170,7 +177,7 @@ TEST(ExecutorTest, SingleBusyWorkerReportsNoIdlePeer) {
 TEST(ExecutorTest, WorkerSideSpawnsDuringDrainStillRun) {
   std::atomic<int> ran{0};
   {
-    Executor executor(Executor::Options{.threads = 2});
+    Executor executor(Threads(2));
     TaskGroup group(&executor);
     group.Spawn([&] {
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -185,7 +192,7 @@ TEST(ExecutorTest, WorkerSideSpawnsDuringDrainStillRun) {
 }
 
 TEST(TaskGroupTest, WaitCoversTransitiveSpawns) {
-  Executor executor(Executor::Options{.threads = 4});
+  Executor executor(Threads(4));
   std::atomic<int> ran{0};
   TaskGroup group(&executor);
   for (int i = 0; i < 4; ++i) {
@@ -201,7 +208,7 @@ TEST(TaskGroupTest, WaitCoversTransitiveSpawns) {
 }
 
 TEST(TaskGroupTest, SpawnAfterShutdownRunsInline) {
-  Executor executor(Executor::Options{.threads = 2});
+  Executor executor(Threads(2));
   executor.Shutdown();
   std::atomic<int> ran{0};
   TaskGroup group(&executor);

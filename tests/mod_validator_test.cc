@@ -223,6 +223,29 @@ TEST(ModValidatorTest, CrossSchemaCastWithEdits) {
   EXPECT_TRUE(r.valid) << r.violation;
 }
 
+// A shared alphabet can grow after the relations were computed (the
+// service's registry interns every schema's labels into one Σ). A rename
+// to such a label lies beyond every padded content automaton: it is
+// reported, never fed to one.
+TEST(ModValidatorTest, RenameToLabelInternedAfterRelations) {
+  Fixture f;
+  f.LoadDtd("<!ELEMENT r (a*)><!ELEMENT a EMPTY>",
+            "<!ELEMENT r (a*)><!ELEMENT a EMPTY>");
+  for (int i = 0; i < 64; ++i) f.alphabet->Intern("late" + std::to_string(i));
+  auto doc = xml::ParseXml("<r><a/><a/></r>");
+  ASSERT_TRUE(doc.ok());
+  ASSERT_OK(doc->Bind(f.alphabet));
+  DocumentEditor editor(&*doc);
+  ASSERT_OK(editor.RenameElement(doc->first_child(doc->root()), "late63"));
+  ModificationIndex mods = editor.Seal();
+  ValidationReport r = ModValidator(f.relations.get()).Validate(*doc, mods);
+  EXPECT_FALSE(r.valid);
+  EXPECT_NE(r.violation.find("outside the schemas' alphabet"),
+            std::string::npos)
+      << r.violation;
+  EXPECT_EQ(r.violation_path.ToString(), "0");
+}
+
 // Ground-truth property: for random documents and random edit batches, the
 // incremental verdict must equal full target-validation of the committed
 // document.
@@ -299,6 +322,94 @@ TEST_P(PoModAgreement, MatchesGroundTruth) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PoModAgreement, ::testing::Range(1, 26));
+
+// §3.3's walk keeps an explicit stack, so edits at the bottom of a chain as
+// deep as FullValidatorDepthTest's validate in O(1) native stack, and
+// Seal/Commit cost the chain's length, not its square.
+class ModValidatorDepthTest : public ::testing::Test {
+ protected:
+  static constexpr size_t kDepth = 200000;
+
+  void SetUp() override {
+    f.LoadDtd("<!ELEMENT c (c?)>", "<!ELEMENT c (c?)>");
+  }
+
+  // A parsed chain of kDepth c's; *levels gets its nodes, root first.
+  static xml::Document ParseChain(std::vector<xml::NodeId>* levels) {
+    std::string text;
+    text.reserve(kDepth * 7);
+    for (size_t i = 0; i < kDepth; ++i) text += "<c>";
+    for (size_t i = 0; i < kDepth; ++i) text += "</c>";
+    auto doc = xml::ParseXml(text);
+    EXPECT_TRUE(doc.ok()) << doc.status().ToString();
+    for (xml::NodeId n = doc->root(); n != xml::kInvalidNode;
+         n = doc->first_child(n)) {
+      levels->push_back(n);
+    }
+    EXPECT_EQ(levels->size(), kDepth);
+    return std::move(doc).value();
+  }
+
+  Fixture f;
+};
+
+TEST_F(ModValidatorDepthTest, InsertAtTheBottomOfAParsedChain) {
+  ModValidator validator(f.relations.get());
+  {
+    std::vector<xml::NodeId> levels;
+    xml::Document doc = ParseChain(&levels);
+    DocumentEditor editor(&doc);
+    ASSERT_OK(editor.InsertElementFirstChild(levels.back(), "c").status());
+    ModificationIndex mods = editor.Seal();
+    ValidationReport r = validator.Validate(doc, mods);
+    EXPECT_TRUE(r.valid) << r.violation;
+    // Every level is on the modified spine; the new leaf is validated
+    // explicitly.
+    EXPECT_EQ(r.counters.elements_visited, kDepth + 1);
+  }
+  // A violation at the bottom is blamed at its full-depth path.
+  std::vector<xml::NodeId> levels;
+  xml::Document doc = ParseChain(&levels);
+  DocumentEditor editor(&doc);
+  ASSERT_OK(editor.InsertElementFirstChild(levels.back(), "x").status());
+  ModificationIndex mods = editor.Seal();
+  ValidationReport bad = validator.Validate(doc, mods);
+  EXPECT_FALSE(bad.valid);
+  EXPECT_NE(bad.violation.find("'x'"), std::string::npos) << bad.violation;
+  EXPECT_EQ(bad.violation_path.depth(), kDepth);
+}
+
+TEST_F(ModValidatorDepthTest, ChainInsertedLevelByLevel) {
+  auto doc = xml::ParseXml("<c/>");
+  ASSERT_TRUE(doc.ok());
+  DocumentEditor editor(&*doc);
+  xml::NodeId bottom = doc->root();
+  for (size_t i = 1; i < kDepth; ++i) {
+    ASSERT_OK_AND_ASSIGN(bottom, editor.InsertElementFirstChild(bottom, "c"));
+  }
+  ModificationIndex mods = editor.Seal();
+  EXPECT_TRUE(mods.SubtreeModified(doc->root()));
+  ValidationReport r = ModValidator(f.relations.get()).Validate(*doc, mods);
+  EXPECT_TRUE(r.valid) << r.violation;
+  EXPECT_EQ(r.counters.elements_visited, kDepth);
+  ASSERT_OK(editor.Commit());
+}
+
+TEST_F(ModValidatorDepthTest, ParsedChainDeletedBottomUpThenCommitted) {
+  std::vector<xml::NodeId> levels;
+  xml::Document doc = ParseChain(&levels);
+  DocumentEditor editor(&doc);
+  for (size_t i = kDepth - 1; i > 0; --i) {
+    ASSERT_OK(editor.DeleteLeaf(levels[i]));
+  }
+  ModificationIndex mods = editor.Seal();
+  ValidationReport r = ModValidator(f.relations.get()).Validate(doc, mods);
+  EXPECT_TRUE(r.valid) << r.violation;
+  // The root, and the deleted child whose label fed Proj_old.
+  EXPECT_EQ(r.counters.elements_visited, 2u);
+  ASSERT_OK(editor.Commit());
+  EXPECT_FALSE(doc.HasChildren(doc.root()));
+}
 
 }  // namespace
 }  // namespace xmlreval::core

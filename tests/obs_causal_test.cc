@@ -36,6 +36,13 @@
 namespace xmlreval::obs {
 namespace {
 
+// Executor options with only the worker count set.
+common::Executor::Options Threads(size_t n) {
+  common::Executor::Options options;
+  options.threads = n;
+  return options;
+}
+
 class TraceGuard {
  public:
   TraceGuard() {
@@ -109,7 +116,7 @@ TEST(ObsCausalTest, EveryStolenCastTaskIsFlowLinkedToItsSpawner) {
   xml::Document doc = workload::GeneratePurchaseOrder(po);
   ASSERT_OK(doc.Bind(alphabet));
 
-  common::Executor executor(common::Executor::Options{.threads = 4});
+  common::Executor executor(Threads(4));
   core::ParallelCastValidator::Options options;
   options.spawn_threshold = 4;  // force real fan-out even on small docs
   core::ParallelCastValidator parallel(&relations, &executor, options);

@@ -57,7 +57,9 @@ TEST(HistogramBucketTest, BoundsArePowerOfTwoMinusOne) {
                      uint64_t{65536}, uint64_t{1} << 38}) {
     size_t i = Histogram::BucketIndex(v);
     EXPECT_GE(Histogram::BucketBound(i), v) << v;
-    if (i > 0) EXPECT_LT(Histogram::BucketBound(i - 1), v) << v;
+    if (i > 0) {
+      EXPECT_LT(Histogram::BucketBound(i - 1), v) << v;
+    }
   }
 }
 

@@ -28,6 +28,13 @@
 namespace xmlreval::core {
 namespace {
 
+// Executor options with only the worker count set.
+common::Executor::Options Threads(size_t n) {
+  common::Executor::Options options;
+  options.threads = n;
+  return options;
+}
+
 using schema::Alphabet;
 using schema::ParseDtd;
 
@@ -99,7 +106,7 @@ TEST(ParallelCastTest, PurchaseOrderCorpusMatchesSerial) {
   ASSERT_OK_AND_ASSIGN(TypeRelations relations,
                        TypeRelations::Compute(&source, &target));
 
-  common::Executor executor(common::Executor::Options{.threads = 4});
+  common::Executor executor(Threads(4));
   CastValidator serial(&relations);
   ParallelCastValidator::Options options;
   options.spawn_threshold = 4;  // force real fan-out even on small docs
@@ -151,7 +158,7 @@ TEST(ParallelCastTest, HundredThousandDeepChainDoesNotOverflow) {
   EXPECT_TRUE(s.valid) << s.violation;
   EXPECT_EQ(s.counters.elements_visited, kDepth);
 
-  common::Executor executor(common::Executor::Options{.threads = 2});
+  common::Executor executor(Threads(2));
   ParallelCastValidator parallel(p.relations.get(), &executor);
   ValidationReport par = parallel.Validate(doc);
   ExpectSameReport(s, par, "deep chain, valid");
@@ -173,7 +180,7 @@ TEST(ParallelCastTest, HundredThousandDeepChainDoesNotOverflow) {
 // 4 workers. Any scheduling-dependent divergence — verdict, message,
 // path, or any counter — fails the run.
 TEST(ParallelCastTest, RandomizedDocsMatchSerialUnderAggressiveSplitting) {
-  common::Executor executor(common::Executor::Options{.threads = 4});
+  common::Executor executor(Threads(4));
   for (uint64_t seed = 1; seed <= 25; ++seed) {
     auto alphabet = std::make_shared<Alphabet>();
     workload::RandomSchemaOptions schema_options;
@@ -228,7 +235,7 @@ TEST(ParallelCastTest, FirstFailureIsDeterministicUnderCancellation) {
   ValidationReport s = serial.Validate(*doc);
   ASSERT_FALSE(s.valid);
 
-  common::Executor executor(common::Executor::Options{.threads = 4});
+  common::Executor executor(Threads(4));
   ParallelCastValidator::Options options;
   options.spawn_threshold = 2;
   ParallelCastValidator parallel(p.relations.get(), &executor, options);
@@ -267,7 +274,7 @@ TEST(ParallelCastTest, SingleThreadRunsAsOneTask) {
   ValidationReport s = serial.Validate(*doc);
   ASSERT_TRUE(s.valid);
 
-  common::Executor executor(common::Executor::Options{.threads = 1});
+  common::Executor executor(Threads(1));
   ParallelCastValidator::Options options;
   options.spawn_threshold = 2;  // would split eagerly IF a peer were idle
   ParallelCastValidator parallel(p.relations.get(), &executor, options);
@@ -286,7 +293,7 @@ TEST(ParallelCastTest, SubsumedRootShortCircuitsWithoutFanOut) {
   auto doc = xml::ParseXml("<r><a>1</a><a>2</a></r>");
   ASSERT_TRUE(doc.ok());
 
-  common::Executor executor(common::Executor::Options{.threads = 2});
+  common::Executor executor(Threads(2));
   ParallelCastValidator parallel(p.relations.get(), &executor);
   ParallelCastValidator::RunStats stats;
   ValidationReport par = parallel.Validate(*doc, &stats);
@@ -317,7 +324,7 @@ TEST(ParallelCastTest, AdaptiveThresholdCalibratesOnceAndMatchesSerial) {
   ValidationReport s = serial.Validate(*doc);
   ASSERT_TRUE(s.valid);
 
-  common::Executor executor(common::Executor::Options{.threads = 2});
+  common::Executor executor(Threads(2));
   ParallelCastValidator parallel(p.relations.get(), &executor);  // default opts
   ParallelCastValidator::RunStats stats1;
   ValidationReport par = parallel.Validate(*doc, &stats1);
@@ -348,7 +355,7 @@ TEST(ParallelCastTest, RootPrologueFailuresMatchSerial) {
   auto doc = xml::ParseXml("<r><a/></r>");
   ASSERT_TRUE(doc.ok());
 
-  common::Executor executor(common::Executor::Options{.threads = 2});
+  common::Executor executor(Threads(2));
   ParallelCastValidator parallel(p.relations.get(), &executor);
   CastValidator serial(p.relations.get());
   ParallelCastValidator::RunStats stats;

@@ -768,6 +768,23 @@ TEST_F(EditStreamServiceTest, UndecidedStreamFallsBackToModValidator) {
   EXPECT_EQ(c.edit_ops_unknown, 1u);
 }
 
+// A caller's script that inserts under a node it deleted is refused at
+// that op, before anything is validated or committed.
+TEST_F(EditStreamServiceTest, InsertUnderDeletedNodeFailsAtTheOp) {
+  xml::Document doc = Doc("<feed><entry>x</entry><note/></feed>");
+  xml::NodeId note = doc.last_child(doc.root());
+  std::vector<xml::EditOp> ops{
+      {xml::EditOp::Kind::kDeleteLeaf, note, ""},
+      {xml::EditOp::Kind::kInsertElementFirstChild, note, "entry"},
+  };
+  auto result = service_.SubmitEditStream(source_, target_, &doc, ops);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(result.status().message().find("deleted"), std::string::npos)
+      << result.status();
+  EXPECT_EQ(service_.counters().errors, 1u);
+}
+
 TEST_F(EditStreamServiceTest, AnalyzersAreCompiledOncePerPair) {
   for (int i = 0; i < 3; ++i) {
     xml::Document doc = Doc("<feed><entry>x</entry></feed>");
