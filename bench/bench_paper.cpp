@@ -327,6 +327,8 @@ void A7() {
   auto clean = [] { return bench::PurchaseOrder(bench::kA7Items); };
   row("already valid (Experiment 2)", bench::Repairs(exp2, clean()),
       CorrectNs(exp2, clean));
+  std::printf("| cast, same order (no repair) | — | %s |\n",
+              Us(CastNs(exp2, clean())).c_str());
   for (size_t violations : bench::kA7Violations) {
     auto make = [&] { return bench::OrderWithBadQuantities(violations); };
     row(std::to_string(violations) +

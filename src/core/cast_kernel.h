@@ -6,7 +6,7 @@
 // (R_dis), otherwise check the target type's closed attributes or simple
 // value, run its content model over the child labels — with c_immed (§4.2)
 // deciding as soon as a prefix allows — and type each child. The kernel
-// holds that decision once. Four drivers feed it elements:
+// holds that decision once. Five drivers feed it elements:
 //
 //   * CastWalk (cast_walk.h): the tree driver behind CastValidator and
 //     ParallelCastValidator;
@@ -15,7 +15,9 @@
 //   * DtdIndexValidator: the label-index driver of §3.4;
 //   * ModValidator: §3.3's walk over the modified() spine, which hands
 //     every untouched subtree to CastWalk and takes the simple-value and
-//     attribute checks and the shared messages for the nodes it re-checks.
+//     attribute checks and the shared messages for the nodes it re-checks;
+//   * DocumentCorrector (corrector.cc): §7's correction, which runs every
+//     element through CastWalk and repairs only the elements it rejects.
 //
 // A driver keeps only its traversal order, the point where it counts an
 // element as visited, and the node a failure blames. Everything else — the

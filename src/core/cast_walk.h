@@ -1,5 +1,5 @@
-// CastWalk — the tree driver of the §3.2 kernel behind both cast validators
-// and ModValidator's untouched subtrees (internal).
+// CastWalk — the tree driver of the §3.2 kernel behind both cast validators,
+// ModValidator's untouched subtrees and the corrector (internal).
 //
 // ProcessUnit runs validate(τ, τ', e) for ONE node through CastKernel
 // (core/cast_kernel.h): the subsumed/disjoint short-circuits, the
@@ -52,8 +52,8 @@ struct CastWalk {
   // Raw SoA column pointers of `doc` (xml/tree.h): the walk's inner loops
   // stride dense int32 arrays directly instead of calling through the
   // Document accessors, and software-prefetch the next sibling's row.
-  // Safe for the walk's lifetime — validation never creates nodes.
-  const xml::Document::HotView hv;
+  // Only the corrector creates nodes, and it calls RetakeView() after.
+  xml::Document::HotView hv;
   // Parallel mode: subsumed children are counted and dropped at push time
   // instead of being pushed for an O(1) pop.
   bool prune_subsumed_at_push = false;
@@ -64,6 +64,9 @@ struct CastWalk {
   // violation is REPORTED AT (the parent, for poisoned child units).
   xml::NodeId fail_node = xml::kInvalidNode;
   std::string fail_message;
+
+  /// Re-reads the column pointers, which creating a node may move.
+  void RetakeView() { hv = doc.hot_view(); }
 
   bool Fail(xml::NodeId node, std::string message) {
     fail_node = node;

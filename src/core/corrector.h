@@ -5,28 +5,29 @@
 // Given a document valid under the source schema and the precomputed
 // TypeRelations, DocumentCorrector::Correct computes and applies an edit
 // script (through xml::DocumentEditor, so the repair itself is Δ-encoded
-// and incrementally re-verifiable) after which the document is valid under
-// the target schema:
+// and incrementally re-verifiable with ModValidator) after which the
+// document is valid under the target schema. Every element goes through
+// the cast's own §3.2 decision (core/cast_kernel.h) on one explicit stack,
+// so subtrees it accepts cost what the cast costs, and only what it
+// rejects is repaired:
 //
-//   * subsumed subtrees are untouched (nothing to fix),
-//   * invalid simple values are rewritten to a minimal value of the target
-//     simple type,
-//   * each content model that no longer matches is repaired with a
+//   * invalid simple values and attributes are rewritten to minimal valid
+//     ones, undeclared attributes dropped, required ones added,
+//   * a content model the kernel rejects (or an R_dis pair) gets a
 //     MINIMUM-OPERATION child-list edit (inserts and deletes; a relabel is
-//     expressed as delete+insert) against the target DFA, found by 0-1 BFS
-//     over (input position × DFA state); inserted elements are
-//     materialized as minimum-size valid subtrees of their target type
-//     (sizes from a Bellman-Ford-style fixpoint over the schema, so the
-//     recursion provably terminates on productive types),
-//   * children kept by the repair are corrected recursively against their
-//     (source, target) type pair.
+//     delete+insert) against the target DFA, found by 0-1 BFS over (input
+//     position × DFA state) — the only place the BFS runs; inserted
+//     elements are minimum-size valid subtrees of their target type (sizes
+//     from a Bellman-Ford-style fixpoint over the schema, so the recursion
+//     provably terminates on productive types), and the children the edit
+//     keeps go back through the kernel.
 //
 // Minimality is per content model (fewest child-list operations), not
 // global over the tree — global minimality would have to weigh deleting a
 // subtree against the cascade of repairs inside it, which is the open part
 // of the problem the paper leaves open. The guarantee provided is
 // soundness: after Correct returns OK, full target-validation succeeds
-// (property-tested in corrector_test.cc).
+// (property-tested in corrector_test.cc and pipeline_property_test.cc).
 
 #ifndef XMLREVAL_CORE_CORRECTOR_H_
 #define XMLREVAL_CORE_CORRECTOR_H_
@@ -64,18 +65,9 @@ struct CorrectionReport {
 
 class DocumentCorrector {
  public:
-  struct Options {
-    /// Upper bound on string-repair search states per content model — a
-    /// safety valve against pathological DFAs. Repair fails with
-    /// kFailedPrecondition when exceeded.
-    size_t max_search_states = 200000;
-  };
-
   /// `relations` must outlive the corrector. Construction precomputes the
   /// minimum-valid-subtree size of every target type.
-  explicit DocumentCorrector(const TypeRelations* relations)
-      : DocumentCorrector(relations, Options{}) {}
-  DocumentCorrector(const TypeRelations* relations, const Options& options);
+  explicit DocumentCorrector(const TypeRelations* relations);
 
   /// Corrects `doc` (valid under the source schema) in place so that it
   /// becomes valid under the target schema, committing the edits. The
@@ -95,7 +87,6 @@ class DocumentCorrector {
   struct Walk;
 
   const TypeRelations* relations_;
-  Options options_;
   /// Per target type: node count of the minimum valid subtree (kInf when
   /// non-productive).
   std::vector<uint64_t> min_tree_cost_;
@@ -117,10 +108,10 @@ struct StringEditOp {
 /// free) making `word` accepted by `dfa`. Symbols may only be inserted
 /// when `insertable` marks them (pass all-true to allow any); this is how
 /// the corrector keeps inserted labels within the productive Σ_τ'. Fails
-/// when no repair exists or the search exceeds `max_states`.
+/// when no repair exists or (|word| + 1) × DFA states exceeds 200,000.
 Result<std::vector<StringEditOp>> MinimalStringRepair(
     const automata::Dfa& dfa, std::span<const automata::Symbol> word,
-    const std::vector<bool>& insertable, size_t max_states = 200000);
+    const std::vector<bool>& insertable);
 
 }  // namespace xmlreval::core
 

@@ -112,8 +112,9 @@ struct ModValidator::Walk {
                           "' is not declared by the source schema"));
         return;
       }
-      // The root always takes case 4, edits or not.
-      stack.push_back({root, s_root, t_root, Step::kModified});
+      stack.push_back({root, s_root, t_root,
+                       mods.SubtreeModified(root) ? Step::kModified
+                                                  : Step::kCast});
     }
     while (!stack.empty()) {
       const Unit unit = stack.back();

@@ -7,6 +7,9 @@
 namespace xmlreval::xml {
 namespace {
 
+// Deeper elements print compactly: indenting them costs depth² bytes.
+constexpr int kMaxPrettyDepth = 64;
+
 bool HasElementChild(const Document& doc, NodeId id) {
   for (NodeId c = doc.first_child(id); c != kInvalidNode;
        c = doc.next_sibling(c)) {
@@ -31,7 +34,7 @@ void SerializeNode(const Document& doc, NodeId root,
   std::vector<Frame> stack;
 
   auto indent = [&](int d) {
-    if (!options.pretty) return;
+    if (!options.pretty || d > kMaxPrettyDepth) return;
     out->push_back('\n');
     out->append(static_cast<size_t>(d) * options.indent_width, ' ');
   };

@@ -10,7 +10,8 @@
 namespace xmlreval::xml {
 
 struct SerializeOptions {
-  /// Pretty-print with newlines and `indent_width` spaces per depth level.
+  /// Pretty-print with newlines and `indent_width` spaces per depth level,
+  /// up to 64 levels; deeper elements print compactly.
   bool pretty = true;
   int indent_width = 2;
   /// Emit the `<?xml version="1.0"?>` declaration.

@@ -162,6 +162,27 @@ TEST_F(CliTest, CorrectWritesRepairedDocument) {
   EXPECT_EQ(Run("validate " + P("v2.dtd") + " " + P("fixed.xml")), 0);
 }
 
+TEST_F(CliTest, CorrectDeepChain) {
+  // 200,000 nested c's with an x under the deepest: the repair deletes it.
+  WriteFile("chain-v1.dtd", "<!ELEMENT c (c?,x?)>\n<!ELEMENT x EMPTY>\n");
+  WriteFile("chain-v2.dtd", "<!ELEMENT c (c?)>\n");
+  constexpr size_t kDepth = 200000;
+  std::string text;
+  text.reserve(kDepth * 7 + 4);
+  for (size_t i = 0; i < kDepth; ++i) text += "<c>";
+  text += "<x/>";
+  for (size_t i = 0; i < kDepth; ++i) text += "</c>";
+  WriteFile("chain.xml", text);
+  EXPECT_EQ(Run("correct " + P("chain-v1.dtd") + " " + P("chain-v2.dtd") +
+                " " + P("chain.xml") + " -o " + P("chain-fixed.xml")),
+            0)
+      << Output();
+  EXPECT_NE(Output().find("1 repair(s)"), std::string::npos) << Output();
+  EXPECT_EQ(Run("validate " + P("chain-v2.dtd") + " " + P("chain-fixed.xml")),
+            0)
+      << Output();
+}
+
 TEST_F(CliTest, CorrectNamesAttributeRepairs) {
   // Source: a and b optional. Target: b required, a undeclared. The fix
   // drops a and sets b, and each repair line names its kind.

@@ -321,6 +321,45 @@ TEST(DocumentCorrectorTest, RootNotInTargetFails) {
   EXPECT_EQ(report.status().code(), StatusCode::kFailedPrecondition);
 }
 
+TEST(DocumentCorrectorTest, AlreadyValidWideContentNeedsNoSearch) {
+  // The kernel's content run accepts the entries, so no string repair
+  // search runs: (100,001 positions × DFA states) would exceed its bound.
+  Fixture f;
+  f.LoadDtd("<!ELEMENT feed (entry*)><!ELEMENT entry EMPTY>",
+            "<!ELEMENT feed (entry+)><!ELEMENT entry EMPTY>");
+  DocumentCorrector corrector(f.relations.get());
+  std::string text = "<feed>";
+  for (int i = 0; i < 100000; ++i) text += "<entry/>";
+  text += "</feed>";
+  auto doc = xml::ParseXml(text);
+  ASSERT_TRUE(doc.ok());
+  ASSERT_OK_AND_ASSIGN(CorrectionReport report, corrector.Correct(&*doc));
+  EXPECT_EQ(report.steps.size(), 0u);
+}
+
+TEST(DocumentCorrectorTest, InsertsBetweenChecks) {
+  // Each b needs a c, and each insert creates a node while later b's are
+  // still to be checked. The parse leaves 1,001 rows in a 1,024-row column
+  // block, so the 24th insert moves the columns the kernel reads.
+  Fixture f;
+  f.LoadDtd("<!ELEMENT r (b*)><!ELEMENT b (c?)><!ELEMENT c EMPTY>",
+            "<!ELEMENT r (b*)><!ELEMENT b (c)><!ELEMENT c EMPTY>");
+  DocumentCorrector corrector(f.relations.get());
+  std::string text = "<r>";
+  for (int i = 0; i < 1000; ++i) text += "<b/>";
+  text += "</r>";
+  auto doc = xml::ParseXml(text);
+  ASSERT_TRUE(doc.ok());
+  ASSERT_OK_AND_ASSIGN(CorrectionReport report, corrector.Correct(&*doc));
+  ASSERT_EQ(report.steps.size(), 1000u);
+  for (const CorrectionStep& step : report.steps) {
+    EXPECT_EQ(step.kind, CorrectionStep::Kind::kInsertElement);
+  }
+  EXPECT_EQ(report.steps.back().where, "999.0");
+  ValidationReport check = FullValidator(f.target.get()).Validate(*doc);
+  EXPECT_TRUE(check.valid) << check.violation;
+}
+
 // Soundness property: for random source-valid documents across several
 // schema pairs, Correct always yields a target-valid document.
 class CorrectionSoundness
@@ -374,6 +413,55 @@ TEST_P(CorrectionSoundness, CorrectedDocumentsAreTargetValid) {
 INSTANTIATE_TEST_SUITE_P(
     SchemaPairs, CorrectionSoundness,
     ::testing::Combine(::testing::Range(0, 4), ::testing::Range(0, 4)));
+
+// The corrector walks one explicit stack and deletes subtrees in a loop, so
+// chains as deep as FullValidatorDepthTest's correct in O(1) native stack.
+class CorrectorDepthTest : public ::testing::Test {
+ protected:
+  static constexpr size_t kDepth = 200000;
+
+  // kDepth nested c's around `bottom`, under `<top>` when it is non-empty.
+  static std::string Chain(const std::string& bottom,
+                           const std::string& top = "") {
+    std::string text;
+    text.reserve(kDepth * 7 + bottom.size() + 2 * top.size() + 5);
+    if (!top.empty()) text += "<" + top + ">";
+    for (size_t i = 0; i < kDepth; ++i) text += "<c>";
+    text += bottom;
+    for (size_t i = 0; i < kDepth; ++i) text += "</c>";
+    if (!top.empty()) text += "</" + top + ">";
+    return text;
+  }
+};
+
+TEST_F(CorrectorDepthTest, DeepChainKeepsAndDeletesAtTheBottom) {
+  Fixture f;
+  f.LoadDtd("<!ELEMENT c (c?,x?)><!ELEMENT x EMPTY>", "<!ELEMENT c (c?)>");
+  DocumentCorrector corrector(f.relations.get());
+  auto doc = xml::ParseXml(Chain("<x/>"));
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  ASSERT_OK_AND_ASSIGN(CorrectionReport report, corrector.Correct(&*doc));
+  ASSERT_EQ(report.steps.size(), 1u);
+  EXPECT_EQ(report.steps[0].kind, CorrectionStep::Kind::kDeleteSubtree);
+  EXPECT_EQ(report.steps[0].detail, "remove 'x'");
+  ValidationReport check = FullValidator(f.target.get()).Validate(*doc);
+  EXPECT_TRUE(check.valid) << check.violation;
+}
+
+TEST_F(CorrectorDepthTest, DeepSubtreeDeleted) {
+  Fixture f;
+  f.LoadDtd("<!ELEMENT r (c?)><!ELEMENT c (c?)>",
+            "<!ELEMENT r EMPTY><!ELEMENT c (c?)>");
+  DocumentCorrector corrector(f.relations.get());
+  auto doc = xml::ParseXml(Chain("", "r"));
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  ASSERT_OK_AND_ASSIGN(CorrectionReport report, corrector.Correct(&*doc));
+  ASSERT_EQ(report.steps.size(), 1u);
+  EXPECT_EQ(report.steps[0].kind, CorrectionStep::Kind::kDeleteSubtree);
+  EXPECT_EQ(report.steps[0].where, "0");
+  EXPECT_FALSE(doc->HasChildren(doc->root()));
+  EXPECT_TRUE(FullValidator(f.target.get()).Validate(*doc).valid);
+}
 
 }  // namespace
 }  // namespace xmlreval::core

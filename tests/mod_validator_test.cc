@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/cast_validator.h"
 #include "core/full_validator.h"
 #include "schema/dtd_parser.h"
 #include "schema/xsd_parser.h"
@@ -63,6 +64,73 @@ TEST(ModValidatorTest, NoEditsEqualsPlainCast) {
   ModValidator validator(f.relations.get());
   ValidationReport r = validator.Validate(*doc, mods);
   EXPECT_TRUE(r.valid) << r.violation;
+}
+
+// An empty session's walk is the cast's: same verdict, violation, path and
+// counters, on a subsumed star feed and on both purchase-order pairs.
+TEST(ModValidatorTest, EmptySessionMatchesCast) {
+  auto expect_cast = [](const Fixture& f, xml::Document doc,
+                        const std::string& what) {
+    for (bool bind : {false, true}) {
+      if (bind) ASSERT_OK(doc.Bind(f.alphabet));
+      const ValidationReport cast =
+          CastValidator(f.relations.get()).Validate(doc);
+      DocumentEditor editor(&doc);
+      const ModificationIndex mods = editor.Seal();
+      const ValidationReport mod =
+          ModValidator(f.relations.get()).Validate(doc, mods);
+      const std::string where = what + (bind ? ", bound" : ", unbound");
+      EXPECT_EQ(mod.valid, cast.valid) << where;
+      EXPECT_EQ(mod.violation, cast.violation) << where;
+      EXPECT_EQ(mod.violation_path.ToString(), cast.violation_path.ToString())
+          << where;
+      const ValidationCounters& a = mod.counters;
+      const ValidationCounters& b = cast.counters;
+      EXPECT_EQ(a.nodes_visited, b.nodes_visited) << where;
+      EXPECT_EQ(a.elements_visited, b.elements_visited) << where;
+      EXPECT_EQ(a.text_nodes_visited, b.text_nodes_visited) << where;
+      EXPECT_EQ(a.subtrees_skipped, b.subtrees_skipped) << where;
+      EXPECT_EQ(a.disjoint_rejects, b.disjoint_rejects) << where;
+      EXPECT_EQ(a.dfa_steps, b.dfa_steps) << where;
+      EXPECT_EQ(a.immediate_decisions, b.immediate_decisions) << where;
+      EXPECT_EQ(a.simple_checks, b.simple_checks) << where;
+      EXPECT_EQ(a.attr_checks, b.attr_checks) << where;
+    }
+  };
+
+  Fixture star;
+  const char* kStarDtd =
+      "<!ELEMENT feed ((entry|note)*)><!ELEMENT entry (#PCDATA)>"
+      "<!ELEMENT note (#PCDATA)><!ELEMENT meta (title)>"
+      "<!ELEMENT title (#PCDATA)>";
+  star.LoadDtd(kStarDtd, kStarDtd);
+  std::string feed = "<feed>";
+  for (int i = 0; i < 3072; ++i) {
+    feed += (i % 3 != 0) ? "<entry>42</entry>" : "<note>n</note>";
+  }
+  feed += "</feed>";
+  auto feed_doc = xml::ParseXml(feed);
+  ASSERT_TRUE(feed_doc.ok());
+  expect_cast(star, std::move(feed_doc).value(), "star");
+
+  workload::PoGeneratorOptions po;
+  po.item_count = 20;
+  Fixture exp1;
+  exp1.LoadXsd(workload::kSourceXsd, workload::kTargetXsd);
+  expect_cast(exp1, workload::GeneratePurchaseOrder(po), "experiment 1");
+  po.include_bill_to = false;
+  expect_cast(exp1, workload::GeneratePurchaseOrder(po),
+              "experiment 1, no billTo");
+
+  Fixture exp2;
+  exp2.LoadXsd(workload::kRelaxedQuantityXsd, workload::kTargetXsd);
+  po.include_bill_to = true;
+  po.quantity_max = 99;
+  expect_cast(exp2, workload::GeneratePurchaseOrder(po), "experiment 2");
+  po.quantity_min = 150;
+  po.quantity_max = 180;
+  expect_cast(exp2, workload::GeneratePurchaseOrder(po),
+              "experiment 2, quantities >= 100");
 }
 
 TEST(ModValidatorTest, InsertMakesInvalidDocumentValid) {

@@ -256,6 +256,22 @@ TEST_P(PipelineProperty, CorrectorProducesTargetValidDocuments) {
         << check.violation << " after " << report->steps.size()
         << " repairs\n  doc:\n"
         << xml::Serialize(*doc);
+
+    // The same repair, left Δ-encoded, re-verifies incrementally.
+    auto again = workload::SampleDocument(*pair.source, options);
+    ASSERT_TRUE(again.ok());
+    xml::DocumentEditor editor(&*again);
+    auto edited = corrector.CorrectWithEditor(&*again, &editor);
+    ASSERT_TRUE(edited.ok()) << edited.status().ToString();
+    xml::ModificationIndex mods = editor.Seal();
+    ValidationReport incremental = ModValidator(pair.relations.get())
+                                       .Validate(*again, mods);
+    EXPECT_TRUE(incremental.valid)
+        << "pair seed " << GetParam() << ", doc seed " << seed << ": "
+        << incremental.violation;
+    ASSERT_OK(editor.Commit());
+    EXPECT_TRUE(target_full.Validate(*again).valid)
+        << "pair seed " << GetParam() << ", doc seed " << seed;
   }
 }
 

@@ -91,5 +91,21 @@ TEST(SerializerTest, DeepChainSerializesWithoutRecursion) {
   EXPECT_EQ(reparsed.NodeCount(), doc.NodeCount());
 }
 
+TEST(SerializerTest, DeepChainPrettyOutputStaysLinear) {
+  // Indenting every level would write about depth² spaces (40 GB here);
+  // past 64 levels the pretty output is compact.
+  constexpr int kDepth = 200000;
+  std::string text;
+  for (int i = 0; i < kDepth; ++i) text += "<d>";
+  for (int i = 0; i < kDepth; ++i) text += "</d>";
+  ASSERT_OK_AND_ASSIGN(Document doc, ParseXml(text));
+  std::string serialized = Serialize(doc);
+  EXPECT_LT(serialized.size(), text.size() + 20000);
+  EXPECT_NE(serialized.find("\n" + std::string(128, ' ') + "<d>"),
+            std::string::npos);
+  EXPECT_EQ(serialized.find("\n" + std::string(130, ' ')), std::string::npos);
+  ASSERT_OK(ParseXml(serialized).status());
+}
+
 }  // namespace
 }  // namespace xmlreval::xml
