@@ -11,7 +11,7 @@
 //   cold      empty cache dir: compile + publish the artifact
 //   warm      populated cache dir: mmap + adopt, zero compilation
 //
-// Emits BENCH_cold_start.json; CI's cold-start-smoke job gates on
+// Emits BENCH_cold_start.json; tools/smoke/cold_start.sh gates on
 // warm_speedup (cold_ns / warm_ns) >= 5.
 
 #include <dirent.h>

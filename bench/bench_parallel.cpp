@@ -14,7 +14,7 @@
 // The committed BENCH_parallel.json records hardware_concurrency: scaling
 // numbers are only meaningful relative to the cores the run actually had
 // (CI containers are often 1-2 cores; par_t1-within-10%-of-serial is the
-// machine-independent assertion, checked by the perf-smoke job).
+// machine-independent assertion, checked by tools/smoke/parallel.sh).
 
 #include <cstdio>
 #include <string>
@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
                  "* WARNING: hardware_concurrency=%u — this machine has  *\n"
                  "* no real parallelism. Every speedup below is noise    *\n"
                  "* around 1.0x; do NOT quote these scaling numbers.     *\n"
-                 "* Run on a multicore machine (CI: perf-smoke-multicore)*\n"
+                 "* Run on a multicore machine (tools/smoke/parallel.sh) *\n"
                  "* for meaningful curves.                               *\n"
                  "********************************************************\n",
                  hardware);

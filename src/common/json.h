@@ -2,7 +2,7 @@
 //
 // The observability layer emits JSON (metrics snapshots, Chrome trace
 // events) that other parts of the system read back: the `xmlreval stats`
-// subcommand pretty-prints a dumped snapshot, the CI smoke job reconciles
+// subcommand pretty-prints a dumped snapshot, tools/smoke/obs.sh reconciles
 // histogram counts against request counters, and the trace golden test
 // schema-checks the exported events. This is the shared reader — a small,
 // strict subset of RFC 8259 (no surrogate-pair decoding beyond pass-through,

@@ -47,7 +47,7 @@ Result<std::vector<TypeId>> UniqueLabelTypes(const Schema& schema,
 }  // namespace
 
 Result<DtdIndexValidator> DtdIndexValidator::Create(
-    const TypeRelations* relations, const Options& options) {
+    const TypeRelations* relations) {
   if (relations == nullptr) {
     return Status::InvalidArgument("DtdIndexValidator requires relations");
   }
@@ -62,7 +62,6 @@ Result<DtdIndexValidator> DtdIndexValidator::Create(
 
   DtdIndexValidator v;
   v.relations_ = relations;
-  v.options_ = options;
   v.plans_.resize(alphabet_size);
   for (Symbol sym = 0; sym < alphabet_size; ++sym) {
     LabelPlan& plan = v.plans_[sym];
@@ -107,7 +106,7 @@ std::vector<std::string> DtdIndexValidator::CheckedLabels() const {
 struct DtdIndexValidator::Walk {
   Walk(const DtdIndexValidator& validator, const xml::Document& document)
       : plans(validator.plans_),
-        k(*validator.relations_, validator.options_.use_immediate_content),
+        k(*validator.relations_, /*immediate=*/true),
         doc(document),
         use_symbols(document.BoundTo(*k.source.alphabet())) {}
 

@@ -24,18 +24,10 @@ namespace xmlreval::core {
 
 class DtdIndexValidator {
  public:
-  struct Options {
-    bool use_immediate_content = true;
-  };
-
   /// Fails with kFailedPrecondition when either schema is not DTD-like
   /// (some label is used with two different types). `relations` must
   /// outlive the validator.
-  static Result<DtdIndexValidator> Create(const TypeRelations* relations,
-                                          const Options& options);
-  static Result<DtdIndexValidator> Create(const TypeRelations* relations) {
-    return Create(relations, Options{});
-  }
+  static Result<DtdIndexValidator> Create(const TypeRelations* relations);
 
   /// Validates using the label index (precondition: doc valid wrt source,
   /// index built over doc).
@@ -53,7 +45,6 @@ class DtdIndexValidator {
   enum class LabelAction : uint8_t { kSkip, kReject, kCheck, kForeign };
 
   const TypeRelations* relations_ = nullptr;
-  Options options_;
   // Per label symbol: the action plus the unique (source, target) types.
   struct LabelPlan {
     LabelAction action;

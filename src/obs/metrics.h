@@ -11,8 +11,9 @@
 //     under a shared_mutex. Callers cache the returned pointer; pointers
 //     stay valid for the registry's lifetime (metrics are never removed).
 //   * Labels carry the two dimensions the paper's serving story needs:
-//     operation (validate / cast / cast_with_mods / batch) and the
-//     (S, S') schema-pair key.
+//     operation (validate / cast / cast_stream / cast_with_mods /
+//     edit_stream, one per booking entry point of ValidationService)
+//     and the (S, S') schema-pair key.
 //   * Quantiles (p50/p90/p99) are DERIVED at snapshot time from the
 //     log₂ bucket counts — nothing is sorted or sampled on the hot path.
 //   * A process-wide runtime switch (SetEnabled, read with one relaxed
@@ -24,8 +25,8 @@
 //     inlines so the validators' instrumented hot paths carry zero code.
 //
 // Rendering: MetricsSnapshot serializes to Prometheus text exposition
-// format and to JSON (the latter is what `xmlreval stats` and the CI
-// smoke job read back through common/json).
+// format and to JSON (the latter is what `xmlreval stats` and
+// tools/smoke/obs.sh read back).
 
 #ifndef XMLREVAL_OBS_METRICS_H_
 #define XMLREVAL_OBS_METRICS_H_

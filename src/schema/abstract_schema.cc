@@ -272,53 +272,51 @@ Result<Schema> SchemaBuilder::Build(const BuildOptions& options) {
     }
   }
 
-  if (options.prune_nonproductive) {
-    // The §3 rewrite: regexp_τ := regexp_τ ∩ ProdLabels_τ*, realized on the
-    // compiled DFA by rerouting transitions on non-productive labels to a
-    // fresh sink, then re-minimizing.
-    for (TypeId t = 0; t < n; ++t) {
-      if (s.IsSimple(t) || !s.productive_[t]) continue;
-      ComplexType& ct = s.complex_[t];
-      std::vector<bool> allowed(alphabet_size, false);
-      bool any_disallowed = false;
-      for (const auto& [sym, child] : ct.child_types) {
-        if (s.productive_[child]) {
-          allowed[sym] = true;
-        }
+  // The §3 rewrite: regexp_τ := regexp_τ ∩ ProdLabels_τ*, realized on the
+  // compiled DFA by rerouting transitions on non-productive labels to a
+  // fresh sink, then re-minimizing.
+  for (TypeId t = 0; t < n; ++t) {
+    if (s.IsSimple(t) || !s.productive_[t]) continue;
+    ComplexType& ct = s.complex_[t];
+    std::vector<bool> allowed(alphabet_size, false);
+    bool any_disallowed = false;
+    for (const auto& [sym, child] : ct.child_types) {
+      if (s.productive_[child]) {
+        allowed[sym] = true;
       }
-      const automata::Dfa& old = *ct.dfa;
-      for (automata::StateId q = 0; q < old.num_states() && !any_disallowed;
-           ++q) {
-        for (Symbol sym = 0; sym < alphabet_size; ++sym) {
-          // A disallowed symbol matters only if it currently leads anywhere
-          // useful; rerouting to the sink is harmless otherwise, so just
-          // check whether any disallowed symbol exists in Σ_τ.
-          if (!allowed[sym] && ct.child_types.count(sym)) {
-            any_disallowed = true;
-            break;
-          }
-        }
-      }
-      if (!any_disallowed) continue;
-      size_t sink = old.num_states();
-      automata::Dfa rewritten(old.num_states() + 1, alphabet_size);
-      rewritten.set_start_state(old.start_state());
-      for (automata::StateId q = 0; q < old.num_states(); ++q) {
-        rewritten.SetAccepting(q, old.IsAccepting(q));
-        for (Symbol sym = 0; sym < alphabet_size; ++sym) {
-          bool ok = allowed[sym] || !ct.child_types.count(sym);
-          // Labels outside Σ_τ already reject in `old`; keep their edges.
-          rewritten.SetTransition(
-              q, sym,
-              ok ? old.Next(q, sym) : static_cast<automata::StateId>(sink));
-        }
-      }
-      for (Symbol sym = 0; sym < alphabet_size; ++sym) {
-        rewritten.SetTransition(static_cast<automata::StateId>(sink), sym,
-                                static_cast<automata::StateId>(sink));
-      }
-      ct.dfa = rewritten.Minimize();
     }
+    const automata::Dfa& old = *ct.dfa;
+    for (automata::StateId q = 0; q < old.num_states() && !any_disallowed;
+         ++q) {
+      for (Symbol sym = 0; sym < alphabet_size; ++sym) {
+        // A disallowed symbol matters only if it currently leads anywhere
+        // useful; rerouting to the sink is harmless otherwise, so just
+        // check whether any disallowed symbol exists in Σ_τ.
+        if (!allowed[sym] && ct.child_types.count(sym)) {
+          any_disallowed = true;
+          break;
+        }
+      }
+    }
+    if (!any_disallowed) continue;
+    size_t sink = old.num_states();
+    automata::Dfa rewritten(old.num_states() + 1, alphabet_size);
+    rewritten.set_start_state(old.start_state());
+    for (automata::StateId q = 0; q < old.num_states(); ++q) {
+      rewritten.SetAccepting(q, old.IsAccepting(q));
+      for (Symbol sym = 0; sym < alphabet_size; ++sym) {
+        bool ok = allowed[sym] || !ct.child_types.count(sym);
+        // Labels outside Σ_τ already reject in `old`; keep their edges.
+        rewritten.SetTransition(
+            q, sym,
+            ok ? old.Next(q, sym) : static_cast<automata::StateId>(sink));
+      }
+    }
+    for (Symbol sym = 0; sym < alphabet_size; ++sym) {
+      rewritten.SetTransition(static_cast<automata::StateId>(sink), sym,
+                              static_cast<automata::StateId>(sink));
+    }
+    ct.dfa = rewritten.Minimize();
   }
 
   // Densify types_τ so Schema::ChildType is an array read on the validator

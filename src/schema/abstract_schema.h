@@ -195,9 +195,6 @@ class SchemaBuilder {
   struct BuildOptions {
     /// Reject content models that are not 1-unambiguous.
     bool require_deterministic = true;
-    /// Apply the §3 rewrite restricting each content model to productive
-    /// labels. When off, non-productive types are only flagged.
-    bool prune_nonproductive = true;
   };
 
   /// Validates the declarations, compiles all content models, runs the

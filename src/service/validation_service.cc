@@ -1,5 +1,6 @@
 #include "service/validation_service.h"
 
+#include <type_traits>
 #include <utility>
 
 #include "common/macros.h"
@@ -244,12 +245,69 @@ Result<ValidationService::PlanPairHandles> ValidationService::RegisterPlanPair(
   return ColdCompilePair(spec, &key);
 }
 
-Result<core::ValidationReport> ValidationService::Record(
-    Result<core::ValidationReport> result, const OpMetrics& op,
-    Clock::time_point start, const PairEntry* pair, obs::RequestScope* scope,
-    uint64_t node_count) {
-  const uint64_t micros = ElapsedMicros(start);
-  const bool failed = !result.ok() || !result->valid;
+// ---------------------------------------------------------------------
+// The request path
+// ---------------------------------------------------------------------
+
+struct ValidationService::Booking {
+  const OpMetrics* op;
+  SchemaHandle source;  // kInvalidSchemaHandle: Validate has no source
+  SchemaHandle target;
+  const PairEntry* pair;  // null without a source or for a bad handle
+  Clock::time_point start;
+  const xml::Document* doc;  // `nodes` is its NodeCount after the call
+  uint64_t nodes = 0;        // the span's nodes arg and the exemplar's
+  const EditStreamResult* edit = nullptr;         // OK edit streams
+  const core::StreamingReport* stream = nullptr;  // finished streams
+};
+
+ValidationService::Booking ValidationService::Open(const OpMetrics& op,
+                                                   SchemaHandle source,
+                                                   SchemaHandle target,
+                                                   const xml::Document* doc) {
+  const PairEntry* pair =
+      source == kInvalidSchemaHandle ? nullptr : PairLatency(source, target);
+  return {&op, source, target, pair, Clock::now(), doc};
+}
+
+template <typename Call>
+auto ValidationService::Serve(const char* span_name, Booking booking,
+                              Call&& call) {
+  obs::RequestScope request_scope;
+  obs::Span span(span_name);
+  auto result = call(&booking);
+  if (booking.doc != nullptr) booking.nodes = booking.doc->NodeCount();
+  const core::ValidationReport* report = nullptr;
+  if (result.ok()) {
+    if constexpr (std::is_same_v<decltype(result), Result<EditStreamResult>>) {
+      booking.edit = &*result;
+      report = &result->report;
+    } else {
+      report = &*result;
+    }
+  }
+  if (span.enabled()) {
+    if (booking.source != kInvalidSchemaHandle) {
+      span.Arg("src", booking.source);
+    }
+    span.Arg("tgt", booking.target);
+    span.Arg("nodes", booking.nodes);
+    // A span keeps TraceSink::kMaxArgs args; the stream's other figures
+    // are in its gauges and streaming_report().
+    if (booking.stream != nullptr) {
+      span.Arg("bytes_fed", booking.stream->bytes_fed);
+    }
+  }
+  Record(booking, report, &request_scope);
+  return result;
+}
+
+void ValidationService::Record(const Booking& booking,
+                               const core::ValidationReport* report,
+                               obs::RequestScope* scope) {
+  const OpMetrics& op = *booking.op;
+  const PairEntry* pair = booking.pair;
+  const uint64_t micros = ElapsedMicros(booking.start);
   {
     // Shared side of the snapshot lock: concurrent requests record in
     // parallel; counters() excludes them all for one consistent read.
@@ -258,15 +316,38 @@ Result<core::ValidationReport> ValidationService::Record(
     op.dispatched->Add();
     op.latency->Record(micros);
     if (pair != nullptr) pair->latency->Record(micros);
-    if (!result.ok()) {
+    if (report == nullptr) {
       errors_->Add();
     } else {
       op.ok->Add();
-      (result->valid ? valid_ : invalid_)->Add();
-      const core::ValidationCounters& c = result->counters;
+      (report->valid ? valid_ : invalid_)->Add();
+      const core::ValidationCounters& c = report->counters;
       nodes_visited_->Add(c.nodes_visited);
       dfa_steps_->Add(c.dfa_steps);
       subtrees_skipped_->Add(c.subtrees_skipped);
+    }
+    if (const EditStreamResult* edit = booking.edit) {
+      const analysis::StreamVerdict& stream = edit->stream;
+      edit_ops_safe_->Add(stream.safe_ops);
+      edit_ops_fatal_->Add(stream.fatal_ops);
+      edit_ops_unknown_->Add(stream.unknown_ops);
+      if (edit->short_circuited) {
+        (stream.verdict == analysis::Safety::kSafe ? streams_safe_
+                                                   : streams_fatal_)
+            ->Add();
+      } else {
+        streams_fallback_->Add();
+      }
+    }
+    // A stream's bytes count whatever its verdict, parse errors included.
+    if (const core::StreamingReport* streamed = booking.stream) {
+      stream_bytes_total_->Add(streamed->bytes_fed);
+      stream_bytes_skipped_total_->Add(streamed->bytes_skipped);
+      stream_bytes_skipped_->Set(static_cast<int64_t>(streamed->bytes_skipped));
+      stream_max_live_frames_->Set(
+          static_cast<int64_t>(streamed->max_live_frames));
+      stream_peak_carry_bytes_->Set(
+          static_cast<int64_t>(streamed->peak_carry_bytes));
     }
   }
   // Settle the request's trace: keep failures and tail-bucket latencies,
@@ -274,6 +355,7 @@ Result<core::ValidationReport> ValidationService::Record(
   // trace_id is 0 whenever no span consumer is active, so this whole
   // block is two branches on the uninstrumented hot path.
   if (scope != nullptr && scope->trace_id() != 0) {
+    const bool failed = report == nullptr || !report->valid;
     const bool keep = failed || op.latency->IsTailValue(micros);
     if (scope->owns()) {
       scope->set_keep(keep);
@@ -284,15 +366,14 @@ Result<core::ValidationReport> ValidationService::Record(
       obs::Exemplar exemplar;
       exemplar.trace_id = scope->trace_id();
       exemplar.value = micros;
-      exemplar.node_count = node_count;
+      exemplar.node_count = booking.nodes;
       if (pair != nullptr) exemplar.pair = pair->label;
       exemplar.verdict =
-          !result.ok() ? "error" : (result->valid ? "valid" : "invalid");
+          report == nullptr ? "error" : (report->valid ? "valid" : "invalid");
       op.latency->RecordExemplar(micros, exemplar);
       if (pair != nullptr) pair->latency->RecordExemplar(micros, exemplar);
     }
   }
-  return result;
 }
 
 void ValidationService::RecordRejected() {
@@ -344,65 +425,57 @@ void ValidationService::ObserveDocFootprint(const xml::Document& doc) {
 
 Result<core::ValidationReport> ValidationService::Validate(
     SchemaHandle schema, const xml::Document& doc) {
-  obs::RequestScope request_scope;
-  obs::Span span("svc.validate");
   ObserveDocFootprint(doc);
-  const Clock::time_point start = Clock::now();
-  auto run = [&]() -> Result<core::ValidationReport> {
-    std::shared_ptr<const schema::Schema> target = registry_.schema(schema);
-    if (!target) {
-      return Status::InvalidArgument("invalid schema handle " +
-                                     std::to_string(schema));
-    }
-    // Validators read the shared Alphabet (label lookup on the hot path);
-    // the guard keeps concurrent registrations from growing Σ under them.
-    auto guard = registry_.ReadGuard();
-    return core::FullValidator(target.get()).Validate(doc);
-  };
-  return Record(run(), validate_op_, start, nullptr, &request_scope,
-                doc.NodeCount());
+  return Serve(
+      "svc.validate", Open(validate_op_, kInvalidSchemaHandle, schema, &doc),
+      [&](Booking*) -> Result<core::ValidationReport> {
+        std::shared_ptr<const schema::Schema> target = registry_.schema(schema);
+        if (!target) {
+          return Status::InvalidArgument("invalid schema handle " +
+                                         std::to_string(schema));
+        }
+        // Validators read the shared Alphabet (label lookup on the hot
+        // path); the guard keeps concurrent registrations from growing Σ
+        // under them.
+        auto guard = registry_.ReadGuard();
+        return core::FullValidator(target.get()).Validate(doc);
+      });
 }
 
 Result<core::ValidationReport> ValidationService::Cast(
     SchemaHandle source, SchemaHandle target, const xml::Document& doc) {
-  obs::RequestScope request_scope;
-  obs::Span span("svc.cast");
-  if (span.enabled()) {
-    span.Arg("src", source);
-    span.Arg("tgt", target);
-    span.Arg("nodes", doc.NodeCount());
-  }
   ObserveDocFootprint(doc);
-  const Clock::time_point start = Clock::now();
-  auto run = [&]() -> Result<core::ValidationReport> {
-    ASSIGN_OR_RETURN(RelationsPtr relations, cache_.Get(source, target));
-    auto guard = registry_.ReadGuard();
-    if (options_.check_cast_precondition) {
-      core::ValidationReport source_report =
-          core::FullValidator(&relations->source()).Validate(doc);
-      if (!source_report.valid) {
-        return Status::FailedPrecondition(
-            "document is not valid under the source schema (" +
-            source_report.violation + "); the cast precondition fails");
-      }
-    }
-    // Large documents fan their subtrees out over the intra-doc executor;
-    // below the threshold (or with the feature off) the serial engine
-    // wins — spawn overhead would swamp a small walk. Either engine
-    // returns the same report on the same input.
-    if (options_.intra_doc_threads > 0 &&
-        doc.NodeCount() >= options_.intra_doc_min_nodes) {
-      core::ParallelCastValidator::Options parallel_options;
-      parallel_options.cast = options_.cast;
-      parallel_options.spawn_threshold = options_.intra_doc_spawn_threshold;
-      return core::ParallelCastValidator(relations.get(), &IntraExecutor(),
-                                         parallel_options)
-          .Validate(doc);
-    }
-    return core::CastValidator(relations.get(), options_.cast).Validate(doc);
-  };
-  return Record(run(), cast_op_, start, PairLatency(source, target),
-                &request_scope, doc.NodeCount());
+  return Serve(
+      "svc.cast", Open(cast_op_, source, target, &doc),
+      [&](Booking*) -> Result<core::ValidationReport> {
+        ASSIGN_OR_RETURN(RelationsPtr relations, cache_.Get(source, target));
+        auto guard = registry_.ReadGuard();
+        if (options_.check_cast_precondition) {
+          core::ValidationReport source_report =
+              core::FullValidator(&relations->source()).Validate(doc);
+          if (!source_report.valid) {
+            return Status::FailedPrecondition(
+                "document is not valid under the source schema (" +
+                source_report.violation + "); the cast precondition fails");
+          }
+        }
+        // Large documents fan their subtrees out over the intra-doc
+        // executor; below the threshold (or with the feature off) the
+        // serial engine wins — spawn overhead would swamp a small walk.
+        // Either engine returns the same report on the same input.
+        if (options_.intra_doc_threads > 0 &&
+            doc.NodeCount() >= options_.intra_doc_min_nodes) {
+          core::ParallelCastValidator::Options parallel_options;
+          parallel_options.cast = options_.cast;
+          parallel_options.spawn_threshold =
+              options_.intra_doc_spawn_threshold;
+          return core::ParallelCastValidator(relations.get(),
+                                             &IntraExecutor(), parallel_options)
+              .Validate(doc);
+        }
+        return core::CastValidator(relations.get(), options_.cast)
+            .Validate(doc);
+      });
 }
 
 // ---------------------------------------------------------------------
@@ -429,19 +502,17 @@ struct ValidationService::CastStreamSession::State {
   RelationsPtr relations;  // pins the pair (and its schemas) for the session
   std::shared_lock<std::shared_mutex> guard;  // registry read guard
   core::StreamingCastSession engine;
-  const PairEntry* pair;
-  Clock::time_point start;
+  Booking booking;  // the request Finish books; starts at StartCastStream
   bool finished = false;
   Result<core::ValidationReport> final_result = core::ValidationReport{};
 
   State(ValidationService* service_in, RelationsPtr relations_in,
-        std::shared_lock<std::shared_mutex> guard_in, const PairEntry* pair_in)
+        std::shared_lock<std::shared_mutex> guard_in, const Booking& booking_in)
       : service(service_in),
         relations(std::move(relations_in)),
         guard(std::move(guard_in)),
         engine(*relations),
-        pair(pair_in),
-        start(Clock::now()) {}
+        booking(booking_in) {}
 };
 
 ValidationService::CastStreamSession::CastStreamSession(
@@ -459,42 +530,26 @@ Status ValidationService::CastStreamSession::Feed(std::string_view chunk) {
 }
 
 Result<core::ValidationReport> ValidationService::CastStreamSession::Finish() {
-  if (state_->finished) return state_->final_result;
-  state_->finished = true;
-  obs::RequestScope request_scope;
-  obs::Span span("svc.cast_stream");
-  const core::StreamingReport& streamed = state_->engine.Finish();
-  if (span.enabled()) {
-    span.Arg("bytes_fed", streamed.bytes_fed);
-    span.Arg("bytes_skipped", streamed.bytes_skipped);
-    span.Arg("max_live_frames", streamed.max_live_frames);
-  }
-  ValidationService* service = state_->service;
-  {
-    std::shared_lock lock(service->snapshot_mutex_);
-    service->stream_bytes_total_->Add(streamed.bytes_fed);
-    service->stream_bytes_skipped_total_->Add(streamed.bytes_skipped);
-  }
-  service->stream_bytes_skipped_->Set(
-      static_cast<int64_t>(streamed.bytes_skipped));
-  service->stream_max_live_frames_->Set(
-      static_cast<int64_t>(streamed.max_live_frames));
-  service->stream_peak_carry_bytes_->Set(
-      static_cast<int64_t>(streamed.peak_carry_bytes));
-  auto run = [&]() -> Result<core::ValidationReport> {
-    const Status& status = state_->engine.status();
-    // kInvalidArgument here is the engine's cast-rejection channel — that
-    // is a verdict, not an error. Anything else non-OK (malformed bytes,
-    // unsupported entity) is a real error, as a DOM parse failure would be.
-    if (!status.ok() && status.code() != StatusCode::kInvalidArgument) {
-      return status;
-    }
-    return ToValidationReport(streamed);
-  };
-  state_->final_result = service->Record(
-      run(), service->cast_stream_op_, state_->start, state_->pair,
-      &request_scope, streamed.counters.nodes_visited);
-  return state_->final_result;
+  State& state = *state_;
+  if (state.finished) return state.final_result;
+  state.finished = true;
+  state.final_result = state.service->Serve(
+      "svc.cast_stream", state.booking,
+      [&](Booking* booking) -> Result<core::ValidationReport> {
+        const core::StreamingReport& streamed = state.engine.Finish();
+        booking->nodes = streamed.counters.nodes_visited;
+        booking->stream = &streamed;
+        const Status& status = state.engine.status();
+        // kInvalidArgument here is the engine's cast-rejection channel —
+        // that is a verdict, not an error. Anything else non-OK
+        // (malformed bytes, unsupported entity) is a real error, as a DOM
+        // parse failure would be.
+        if (!status.ok() && status.code() != StatusCode::kInvalidArgument) {
+          return status;
+        }
+        return ToValidationReport(streamed);
+      });
+  return state.final_result;
 }
 
 const core::StreamingReport&
@@ -504,22 +559,19 @@ ValidationService::CastStreamSession::streaming_report() const {
 
 Result<std::unique_ptr<ValidationService::CastStreamSession>>
 ValidationService::StartCastStream(SchemaHandle source, SchemaHandle target) {
-  const Clock::time_point start = Clock::now();
+  const Booking booking = Open(cast_stream_op_, source, target, nullptr);
   auto relations = cache_.Get(source, target);
   if (!relations.ok()) {
     // Book the failed open so requests == valid + invalid + errors holds
     // for streaming requests too.
     obs::RequestScope request_scope;
-    Record(relations.status(), cast_stream_op_, start,
-           PairLatency(source, target), &request_scope, 0);
+    Record(booking, nullptr, &request_scope);
     return relations.status();
   }
-  auto state = std::make_unique<CastStreamSession::State>(
-      this, std::move(relations).value(), registry_.ReadGuard(),
-      PairLatency(source, target));
-  state->start = start;
   return std::unique_ptr<CastStreamSession>(
-      new CastStreamSession(std::move(state)));
+      new CastStreamSession(std::make_unique<CastStreamSession::State>(
+          this, std::move(relations).value(), registry_.ReadGuard(),
+          booking)));
 }
 
 Result<core::ValidationReport> ValidationService::CastStream(
@@ -535,16 +587,13 @@ Result<core::ValidationReport> ValidationService::CastStream(
 Result<core::ValidationReport> ValidationService::CastWithMods(
     SchemaHandle source, SchemaHandle target, const xml::Document& doc,
     const xml::ModificationIndex& mods) {
-  obs::RequestScope request_scope;
-  obs::Span span("svc.cast_with_mods");
-  const Clock::time_point start = Clock::now();
-  auto run = [&]() -> Result<core::ValidationReport> {
-    ASSIGN_OR_RETURN(RelationsPtr relations, cache_.Get(source, target));
-    auto guard = registry_.ReadGuard();
-    return core::ModValidator(relations.get()).Validate(doc, mods);
-  };
-  return Record(run(), cast_with_mods_op_, start, PairLatency(source, target),
-                &request_scope, doc.NodeCount());
+  return Serve(
+      "svc.cast_with_mods", Open(cast_with_mods_op_, source, target, &doc),
+      [&](Booking*) -> Result<core::ValidationReport> {
+        ASSIGN_OR_RETURN(RelationsPtr relations, cache_.Get(source, target));
+        auto guard = registry_.ReadGuard();
+        return core::ModValidator(relations.get()).Validate(doc, mods);
+      });
 }
 
 Result<analysis::OpVerdict> ValidationService::AnalyzeUpdate(
@@ -559,102 +608,50 @@ Result<analysis::OpVerdict> ValidationService::AnalyzeUpdate(
 Result<ValidationService::EditStreamResult> ValidationService::SubmitEditStream(
     SchemaHandle source, SchemaHandle target, xml::Document* doc,
     const std::vector<xml::EditOp>& ops) {
-  obs::RequestScope request_scope;
-  obs::Span span("svc.edit_stream");
-  const Clock::time_point start = Clock::now();
-  auto run = [&]() -> Result<EditStreamResult> {
-    if (doc == nullptr) {
-      return Status::InvalidArgument("SubmitEditStream requires a document");
-    }
-    ASSIGN_OR_RETURN(AnalyzerPtr analyzer, cache_.GetAnalyzer(source, target));
-    auto guard = registry_.ReadGuard();
+  return Serve(
+      "svc.edit_stream", Open(edit_stream_op_, source, target, doc),
+      [&](Booking*) -> Result<EditStreamResult> {
+        if (doc == nullptr) {
+          return Status::InvalidArgument(
+              "SubmitEditStream requires a document");
+        }
+        ASSIGN_OR_RETURN(AnalyzerPtr analyzer,
+                         cache_.GetAnalyzer(source, target));
+        auto guard = registry_.ReadGuard();
 
-    EditStreamResult result;
-    analysis::StreamSession session(analyzer.get(), doc);
-    for (const xml::EditOp& op : ops) {
-      RETURN_IF_ERROR(session.Apply(op).WithContext("edit stream op"));
-    }
-    {
-      obs::Span classify_span("analysis.classify");
-      result.stream = session.Classify();
-    }
+        EditStreamResult result;
+        analysis::StreamSession session(analyzer.get(), doc);
+        for (const xml::EditOp& op : ops) {
+          RETURN_IF_ERROR(session.Apply(op).WithContext("edit stream op"));
+        }
+        {
+          obs::Span classify_span("analysis.classify");
+          result.stream = session.Classify();
+        }
 
-    if (result.stream.decided()) {
-      // Short circuit: the composed static verdict IS the answer; no
-      // validator runs, no node is visited.
-      result.short_circuited = true;
-      result.report.valid = result.stream.verdict == analysis::Safety::kSafe;
-      if (!result.report.valid) {
-        result.report.violation = result.stream.reason;
-      }
-      // The editor contract requires Seal() before Commit(); the index it
-      // returns (O(|ops|), no tree traversal) is simply dropped.
-      session.Seal();
-      RETURN_IF_ERROR(session.Commit());
-      return result;
-    }
-
-    // Fallback: the session doubles as a plain editor; seal its Δ-index
-    // and run the §3.3 incremental validator as CastWithMods would.
-    xml::ModificationIndex mods = session.Seal();
-    result.report =
-        core::ModValidator(&analyzer->relations()).Validate(*doc, mods);
-    RETURN_IF_ERROR(session.Commit());
-    return result;
-  };
-
-  Result<EditStreamResult> result = run();
-  const uint64_t micros = ElapsedMicros(start);
-  const PairEntry* pair = PairLatency(source, target);
-  {
-    std::shared_lock lock(snapshot_mutex_);
-    requests_->Add();
-    edit_stream_op_.dispatched->Add();
-    edit_stream_op_.latency->Record(micros);
-    if (pair != nullptr) pair->latency->Record(micros);
-    if (!result.ok()) {
-      errors_->Add();
-    } else {
-      edit_stream_op_.ok->Add();
-      (result->report.valid ? valid_ : invalid_)->Add();
-      const analysis::StreamVerdict& stream = result->stream;
-      edit_ops_safe_->Add(stream.safe_ops);
-      edit_ops_fatal_->Add(stream.fatal_ops);
-      edit_ops_unknown_->Add(stream.unknown_ops);
-      if (result->short_circuited) {
-        (stream.verdict == analysis::Safety::kSafe ? streams_safe_
-                                                   : streams_fatal_)
-            ->Add();
-      } else {
-        streams_fallback_->Add();
-        const core::ValidationCounters& c = result->report.counters;
-        nodes_visited_->Add(c.nodes_visited);
-        dfa_steps_->Add(c.dfa_steps);
-        subtrees_skipped_->Add(c.subtrees_skipped);
-      }
-    }
-  }
-  if (request_scope.trace_id() != 0) {
-    const bool failed = !result.ok() || !result->report.valid;
-    const bool keep = failed || edit_stream_op_.latency->IsTailValue(micros);
-    if (request_scope.owns()) {
-      request_scope.set_keep(keep);
-    } else if (keep) {
-      obs::HintKeepTrace();
-    }
-    if (keep) {
-      obs::Exemplar exemplar;
-      exemplar.trace_id = request_scope.trace_id();
-      exemplar.value = micros;
-      exemplar.node_count = doc != nullptr ? doc->NodeCount() : 0;
-      if (pair != nullptr) exemplar.pair = pair->label;
-      exemplar.verdict =
-          !result.ok() ? "error" : (result->report.valid ? "valid" : "invalid");
-      edit_stream_op_.latency->RecordExemplar(micros, exemplar);
-      if (pair != nullptr) pair->latency->RecordExemplar(micros, exemplar);
-    }
-  }
-  return result;
+        if (result.stream.decided()) {
+          // Short circuit: the composed static verdict IS the answer; no
+          // validator runs, no node is visited.
+          result.short_circuited = true;
+          result.report.valid =
+              result.stream.verdict == analysis::Safety::kSafe;
+          if (!result.report.valid) {
+            result.report.violation = result.stream.reason;
+          }
+          // The editor contract requires Seal() before Commit(); the index
+          // it returns (O(|ops|), no tree traversal) is simply dropped.
+          session.Seal();
+        } else {
+          // Fallback: the session doubles as a plain editor; seal its
+          // Δ-index and run the §3.3 incremental validator as CastWithMods
+          // would.
+          xml::ModificationIndex mods = session.Seal();
+          result.report =
+              core::ModValidator(&analyzer->relations()).Validate(*doc, mods);
+        }
+        RETURN_IF_ERROR(session.Commit());
+        return result;
+      });
 }
 
 common::Executor& ValidationService::BatchExecutor() {

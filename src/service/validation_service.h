@@ -9,8 +9,11 @@
 //   service.registry().RegisterDtd("orders", dtd_text);
 //   auto report = service.Cast(producer, consumer, doc);
 //
-// Synchronous entry points (Validate / Cast / CastWithMods) run on the
-// caller's thread and are safe to call from any number of threads
+// Five entry points book requests — Validate, Cast, CastWithMods,
+// SubmitEditStream and CastStreamSession::Finish — and all five take one
+// request path: a request scope, an svc.<op> span with src (where the op
+// has a source), tgt and nodes args, the call, and one Record. They run
+// on the caller's thread and are safe to call from any number of threads
 // concurrently — including concurrently with Register* calls, which the
 // registry's reader/writer lock serializes against the alphabet reads.
 //
@@ -31,7 +34,7 @@
 //   xmlreval_ops_ok_total{op=...}          per op, status-OK only
 //   xmlreval_verdicts_total{verdict=...}   valid / invalid / error
 //   xmlreval_request_latency_us{op=...}    per-op latency histogram
-//   xmlreval_pair_request_latency_us{pair} per (S, S') cast latency
+//   xmlreval_pair_request_latency_us{pair} per (S, S') request latency
 //   xmlreval_batch_queue_wait_us           enqueue → worker pickup
 //   xmlreval_batch_service_us              worker parse+bind+validate
 //   xmlreval_batch_inflight                items currently in the pipeline
@@ -174,6 +177,12 @@ class ValidationService {
   /// its cache's metrics. Snapshot with metrics().Snapshot().
   obs::MetricsRegistry& metrics() { return metrics_; }
   const obs::MetricsRegistry& metrics() const { return metrics_; }
+
+  /// Parses and registers one schema text under `key` through the
+  /// registry front end `format` names (no plan involvement).
+  Result<SchemaHandle> RegisterText(const std::string& key,
+                                    SchemaFormat format,
+                                    const std::string& text);
 
   /// Binds `doc` to the registry's shared Alphabet (find-only, under the
   /// registry's read guard) so every subsequent Validate/Cast on it takes
@@ -357,6 +366,8 @@ class ValidationService {
 
  private:
   struct BatchState;
+  /// One request on its way from its entry point through Serve to Record.
+  struct Booking;
 
   /// Cached metric handles for one operation kind.
   struct OpMetrics {
@@ -374,11 +385,21 @@ class ValidationService {
     std::string label;  // "key.vN->key.vM"
   };
 
+  /// Starts `op`'s booking: the pair (where there is a source), the clock.
+  Booking Open(const OpMetrics& op, SchemaHandle source, SchemaHandle target,
+               const xml::Document* doc);
+  /// The request path of every booking entry point: the request scope and
+  /// the `span` (a literal) around `call(&booking)`, the span's src/tgt/
+  /// nodes args, then Record. Returns `call`'s result.
+  template <typename Call>
+  auto Serve(const char* span, Booking booking, Call&& call);
+  /// Books one finished request (null `report`: it failed) in one
+  /// shared-lock section, then settles its trace: keeps failed and
+  /// tail-latency requests, pins their exemplars to the op + pair
+  /// histograms, and hints non-owned scopes upward.
+  void Record(const Booking& booking, const core::ValidationReport* report,
+              obs::RequestScope* scope);
   BatchItemResult ProcessItem(const BatchItem& item);
-  /// Parses and registers one schema text cold (no plan involvement).
-  Result<SchemaHandle> RegisterText(const std::string& key,
-                                    SchemaFormat format,
-                                    const std::string& text);
   /// The cold path of RegisterPlanPair: parse both texts, run the
   /// relations fixpoint + analyzer eagerly, and — when `save_key` is
   /// non-null — publish the compiled plan to the cache.
@@ -389,16 +410,6 @@ class ValidationService {
   /// re-saving) if the alphabet can no longer be adopted.
   Result<PlanPairHandles> AdoptPlan(const PlanPairSpec& spec,
                                     PlanBundle bundle);
-  /// Books a finished request into the counters/histograms, then settles
-  /// its trace: decides tail-sampling keep (failed or tail-bucket
-  /// latency), pins an exemplar to the op + pair histograms for kept
-  /// requests, and hints non-owned scopes upward.
-  Result<core::ValidationReport> Record(Result<core::ValidationReport> result,
-                                        const OpMetrics& op,
-                                        Clock::time_point start,
-                                        const PairEntry* pair,
-                                        obs::RequestScope* scope,
-                                        uint64_t node_count);
   /// A request that failed before reaching any validator (batch parse or
   /// bind failure): counts as a request + error, no op.
   void RecordRejected();
@@ -438,10 +449,9 @@ class ValidationService {
   std::atomic<common::Executor*> batch_executor_ptr_{nullptr};
   std::atomic<common::Executor*> intra_executor_ptr_{nullptr};
 
-  // Writers (Record / RecordRejected) hold the shared side across a
-  // request's counter updates; counters() takes the exclusive side, so
-  // snapshots never observe a half-recorded request (the PR 1 counters
-  // were read one atomic at a time and could tear under load).
+  // Writers (Record, RecordRejected, and SubmitBatch for the batch
+  // counters) hold the shared side across their updates; counters() takes
+  // the exclusive side, so no snapshot sees a half-booked request.
   mutable std::shared_mutex snapshot_mutex_;
 
   obs::Counter* requests_;
@@ -458,18 +468,11 @@ class ValidationService {
   OpMetrics cast_stream_op_;
   OpMetrics cast_with_mods_op_;
   OpMetrics edit_stream_op_;
-  // Streaming cast byte accounting: monotonic totals plus last-request
-  // gauges (xmlreval_stream_bytes_skipped / _max_live_frames /
-  // _peak_carry_bytes) exposing the engine's memory claim per request.
   obs::Counter* stream_bytes_total_;
   obs::Counter* stream_bytes_skipped_total_;
   obs::Gauge* stream_bytes_skipped_;
   obs::Gauge* stream_max_live_frames_;
   obs::Gauge* stream_peak_carry_bytes_;
-  // Edit-stream observability: per-op verdicts after stream composition
-  // (xmlreval_edit_ops_total{verdict=...}) and streams by resolution path
-  // (xmlreval_edit_streams_total{path=short_circuit_safe |
-  // short_circuit_fatal | fallback}).
   obs::Counter* edit_ops_safe_;
   obs::Counter* edit_ops_fatal_;
   obs::Counter* edit_ops_unknown_;
@@ -479,12 +482,8 @@ class ValidationService {
   obs::Histogram* queue_wait_us_;
   obs::Histogram* batch_service_us_;
   obs::Gauge* batch_inflight_;
-  // Queue-depth gauges expose the HIGH-WATER mark since the previous
-  // snapshot (not a last-write-wins sample): the depth hooks maintain the
-  // live depth + running max below, and PublishObsHealth sets the gauge
-  // to max(high-water, current) and re-arms the max at the current depth,
-  // so a burst that drained between expositions is still visible.
-  // Labeled {executor="batch"|"intra_doc"}.
+  // Queue-depth high-water marks: the depth hooks keep the live depth and
+  // its running max below; PublishObsHealth publishes and re-arms them.
   obs::Gauge* batch_queue_depth_;
   obs::Gauge* intra_queue_depth_;
   std::atomic<int64_t> batch_depth_{0};

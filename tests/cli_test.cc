@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
 
 #include "common/json.h"
@@ -274,6 +275,22 @@ TEST_F(CliTest, ServeBatchCastsAllDocuments) {
             2);
 }
 
+// Numeric flags take plain decimal digits: a word, a sign or a suffix is
+// a usage error, caught before any schema or document is read.
+TEST_F(CliTest, NonNumericFlagValueIsUsageError) {
+  const std::string pair = P("v1.dtd") + " " + P("v2.dtd") + " ";
+  for (const std::string& args : {
+           "cast " + pair + P("ok.xml") + " --stream --chunk-bytes abc",
+           "serve-batch " + pair + P("ok.xml") + " --threads four",
+           "serve-batch " + pair + P("ok.xml") + " --intra-doc-threads -1",
+           "sample " + P("v2.dtd") + " --root note --seed x",
+           "analyze-updates " + pair + P("ok.xml") + " --edits 3x",
+       }) {
+    EXPECT_EQ(Run(args), 2) << args;
+    EXPECT_NE(Output().find("usage:"), std::string::npos) << args;
+  }
+}
+
 std::string Slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return std::string(std::istreambuf_iterator<char>(in),
@@ -383,6 +400,51 @@ TEST_F(CliTest, StatsPrettyPrintsAndRejectsGarbage) {
   EXPECT_EQ(Run("stats " + P("garbage.json")), 2);
   EXPECT_EQ(Run("stats " + P("missing.json")), 2);
   EXPECT_EQ(Run("stats"), 2);
+}
+
+// trace-report folds every validator's walk span into the traverse column
+// and takes each request's pair from its svc.* span: a full validation
+// (full.traverse, no source), an edit stream that fell back
+// (cast_with_mods.traverse) and a cast (cast.traverse).
+TEST_F(CliTest, TraceReportAttributesEveryTraversal) {
+  auto span = [](const char* name, int trace_id, int ts, int dur,
+                 const std::string& args) {
+    return std::string("{\"name\":\"") + name +
+           "\",\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":" +
+           std::to_string(ts) + ",\"dur\":" + std::to_string(dur) +
+           ",\"args\":{\"trace_id\":" + std::to_string(trace_id) + args +
+           "}}";
+  };
+  WriteFile("trace.json",
+            "{\"traceEvents\":[" +
+                span("svc.validate", 1, 0, 100, ",\"tgt\":1,\"nodes\":7") +
+                "," + span("full.traverse", 1, 10, 80, "") + "," +
+                span("svc.edit_stream", 2, 200, 50,
+                     ",\"src\":0,\"tgt\":1,\"nodes\":7") +
+                "," + span("cast_with_mods.traverse", 2, 210, 30, "") + "," +
+                span("svc.cast", 3, 300, 40, ",\"src\":0,\"tgt\":1,\"nodes\":7") +
+                "," + span("cast.traverse", 3, 310, 20, "") + "]}");
+  ASSERT_EQ(Run("trace-report " + P("trace.json")), 0);
+  const std::string out = Output();
+  // One row per request: trace_id, total, queue, parse, bind, fixpnt,
+  // analyze, travrs, task_cpu, tasks, pair.
+  std::map<unsigned long, std::pair<unsigned long, std::string>> rows;
+  std::istringstream lines(out);
+  for (std::string line; std::getline(lines, line);) {
+    unsigned long id = 0, total = 0, queue = 0, parse = 0, bind = 0,
+                  fixpoint = 0, analyze = 0, traverse = 0, cpu = 0, tasks = 0;
+    char pair[32] = {};
+    if (std::sscanf(line.c_str(),
+                    "%lu %lu %lu %lu %lu %lu %lu %lu %lu %lu %31s", &id,
+                    &total, &queue, &parse, &bind, &fixpoint, &analyze,
+                    &traverse, &cpu, &tasks, pair) >= 10) {
+      rows[id] = {traverse, pair};
+    }
+  }
+  ASSERT_EQ(rows.size(), 3u) << out;
+  EXPECT_EQ(rows[1], std::make_pair(80ul, std::string("->1"))) << out;
+  EXPECT_EQ(rows[2], std::make_pair(30ul, std::string("0->1"))) << out;
+  EXPECT_EQ(rows[3], std::make_pair(20ul, std::string("0->1"))) << out;
 }
 
 // ------------------------------------------------------- analyze-updates

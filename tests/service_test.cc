@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -645,11 +646,6 @@ TEST_F(ValidationServiceTest, MetricsReconcileWithRequestCounters) {
   EXPECT_GE(doc_bytes_per_node->value, 25);
 }
 
-// PR 1's counters() read one atomic at a time, so a snapshot taken during
-// a request could see requests incremented but no verdict yet. The
-// migrated path records each request under a shared lock and snapshots
-// under the exclusive side: requests == valid + invalid + errors at EVERY
-// snapshot, not just at quiescence.
 // ----------------------------------------------------- edit-stream path
 
 // feed accepts (entry|note)* — entry/note are neutral and interchangeable;
@@ -861,11 +857,22 @@ TEST_F(EditStreamServiceTest, SeededStreamGridMatchesModValidator) {
   EXPECT_EQ(c.edit_ops_safe + c.edit_ops_fatal + c.edit_ops_unknown, 256u);
 }
 
+// The first counters() read one atomic at a time, so a snapshot taken during
+// a request could see requests incremented but no verdict yet. The
+// migrated path records each request under a shared lock and snapshots
+// under the exclusive side: requests == valid + invalid + errors at EVERY
+// snapshot, not just at quiescence.
+// Every booking entry point takes part: casts, validations, edit streams
+// (short-circuited and falling back) and streaming casts.
 TEST_F(ValidationServiceTest, CounterSnapshotsAreInternallyConsistent) {
   auto valid_doc = xml::ParseXml(kFullNote);
   auto invalid_doc = xml::ParseXml(kBodylessNote);
   ASSERT_TRUE(valid_doc.ok());
   ASSERT_TRUE(invalid_doc.ok());
+  auto star_src = service_.registry().RegisterDtd("star-src", kStarDtd, {});
+  auto star_tgt = service_.registry().RegisterDtd("star-tgt", kStarDtd, {});
+  ASSERT_TRUE(star_src.ok());
+  ASSERT_TRUE(star_tgt.ok());
   // Warm the relations cache so worker threads race through Record.
   ASSERT_TRUE(service_.Cast(v1_, v2_, *valid_doc).ok());
 
@@ -884,6 +891,28 @@ TEST_F(ValidationServiceTest, CounterSnapshotsAreInternallyConsistent) {
         if (i % 7 == 0) {
           service_.Validate(t % 2 == 0 ? v1_ : v2_, doc);
         }
+        if (i % 5 == 0) {
+          // A fresh document per stream: a rename (short circuit) or a
+          // text insert next to simple content (fallback).
+          auto feed = xml::ParseXml("<feed><entry>x</entry></feed>");
+          ASSERT_TRUE(feed.ok());
+          ASSERT_TRUE(service_.BindDocument(&*feed).ok());
+          xml::NodeId entry = feed->first_child(feed->root());
+          std::vector<xml::EditOp> ops{
+              i % 2 == 0 ? xml::EditOp{xml::EditOp::Kind::kRename, entry,
+                                       "note"}
+                         : xml::EditOp{xml::EditOp::Kind::kInsertTextBefore,
+                                       feed->first_child(entry), "pre-"}};
+          ASSERT_TRUE(
+              service_.SubmitEditStream(*star_src, *star_tgt, &*feed, ops)
+                  .ok());
+        }
+        if (i % 3 == 0) {
+          ASSERT_TRUE(
+              service_.CastStream(v1_, v2_, i % 2 == 0 ? kFullNote
+                                                       : kBodylessNote)
+                  .ok());
+        }
       }
     });
   }
@@ -900,7 +929,142 @@ TEST_F(ValidationServiceTest, CounterSnapshotsAreInternallyConsistent) {
             final_counters.valid + final_counters.invalid +
                 final_counters.errors);
   EXPECT_EQ(final_counters.casts, 1u + kThreads * kPerThread);
+  EXPECT_EQ(final_counters.edit_streams, kThreads * 100u);
+  EXPECT_EQ(final_counters.cast_streams, kThreads * 167u);
   EXPECT_EQ(final_counters.errors, 0u);
+}
+
+// Each booking entry point books a request exactly once: `requests`, its
+// op's dispatch counter and latency histogram, its pair's histogram where
+// the op has a source, and one verdict. A batch item that fails before
+// dispatch books a request and an error under no op.
+TEST_F(ValidationServiceTest, EveryEntryPointBooksOnce) {
+  obs::SetEnabled(true);
+#ifdef XMLREVAL_OBS_DISABLED
+  constexpr uint64_t kSample = 0;  // histograms compiled out
+#else
+  constexpr uint64_t kSample = 1;
+#endif
+  auto star_src = service_.registry().RegisterDtd("star-src", kStarDtd, {});
+  auto star_tgt = service_.registry().RegisterDtd("star-tgt", kStarDtd, {});
+  ASSERT_TRUE(star_src.ok());
+  ASSERT_TRUE(star_tgt.ok());
+
+  struct Booked {
+    uint64_t requests, op_requests, op_latency, pair_latency, valid, invalid,
+        errors;
+  };
+  // `op` and `pair` name the labels to read; "" reads 0.
+  auto read = [&](const std::string& op, const std::string& pair) {
+    obs::MetricsSnapshot snapshot = service_.metrics().Snapshot();
+    auto counter = [&](const char* name, const obs::Labels& labels) {
+      const obs::CounterSnapshot* c = snapshot.FindCounter(name, labels);
+      return c != nullptr ? c->value : 0;
+    };
+    auto histogram = [&](const char* name, const obs::Labels& labels) {
+      const obs::HistogramSnapshot* h = snapshot.FindHistogram(name, labels);
+      return h != nullptr ? h->count : 0;
+    };
+    ValidationService::Counters c = service_.counters();
+    EXPECT_EQ(c.requests, c.valid + c.invalid + c.errors);
+    return Booked{
+        counter("xmlreval_requests_total", {}),
+        op.empty() ? 0 : counter("xmlreval_op_requests_total", {{"op", op}}),
+        op.empty() ? 0
+                   : histogram("xmlreval_request_latency_us", {{"op", op}}),
+        pair.empty() ? 0
+                     : histogram("xmlreval_pair_request_latency_us",
+                                 {{"pair", pair}}),
+        counter("xmlreval_verdicts_total", {{"verdict", "valid"}}),
+        counter("xmlreval_verdicts_total", {{"verdict", "invalid"}}),
+        counter("xmlreval_verdicts_total", {{"verdict", "error"}})};
+  };
+  // Runs `call` and checks it moved each booking by `expected`.
+  auto expect_booked = [&](const char* what, const std::string& op,
+                           const std::string& pair, Booked expected,
+                           const std::function<void()>& call) {
+    SCOPED_TRACE(what);
+    const Booked before = read(op, pair);
+    call();
+    const Booked after = read(op, pair);
+    EXPECT_EQ(after.requests - before.requests, expected.requests);
+    EXPECT_EQ(after.op_requests - before.op_requests, expected.op_requests);
+    EXPECT_EQ(after.op_latency - before.op_latency, expected.op_latency);
+    EXPECT_EQ(after.pair_latency - before.pair_latency,
+              expected.pair_latency);
+    EXPECT_EQ(after.valid - before.valid, expected.valid);
+    EXPECT_EQ(after.invalid - before.invalid, expected.invalid);
+    EXPECT_EQ(after.errors - before.errors, expected.errors);
+  };
+  const std::string note_pair = "v1.v1->v2.v1";
+  const std::string star_pair = "star-src.v1->star-tgt.v1";
+
+  auto full_note = xml::ParseXml(kFullNote);
+  auto bodyless = xml::ParseXml(kBodylessNote);
+  ASSERT_TRUE(full_note.ok());
+  ASSERT_TRUE(bodyless.ok());
+  expect_booked("Validate", "validate", "", {1, 1, kSample, 0, 1, 0, 0},
+                [&] { ASSERT_TRUE(service_.Validate(v1_, *full_note).ok()); });
+  expect_booked("Cast", "cast", note_pair,
+                {1, 1, kSample, kSample, 0, 1, 0},
+                [&] { ASSERT_TRUE(service_.Cast(v1_, v2_, *bodyless).ok()); });
+  expect_booked("CastWithMods", "cast_with_mods", note_pair,
+                {1, 1, kSample, kSample, 1, 0, 0}, [&] {
+                  xml::DocumentEditor editor(&*full_note);
+                  xml::ModificationIndex mods = editor.Seal();
+                  ASSERT_TRUE(
+                      service_.CastWithMods(v1_, v2_, *full_note, mods).ok());
+                });
+  expect_booked("CastStream", "cast_stream", note_pair,
+                {1, 1, kSample, kSample, 1, 0, 0}, [&] {
+                  ASSERT_TRUE(service_.CastStream(v1_, v2_, kFullNote).ok());
+                });
+  expect_booked("StartCastStream on a bad handle", "cast_stream", "",
+                {1, 1, kSample, 0, 0, 0, 1}, [&] {
+                  ASSERT_FALSE(service_.StartCastStream(777, v2_).ok());
+                });
+  expect_booked("SubmitEditStream short-circuited", "edit_stream", star_pair,
+                {1, 1, kSample, kSample, 1, 0, 0}, [&] {
+                  auto doc = xml::ParseXml("<feed><entry>x</entry></feed>");
+                  ASSERT_TRUE(doc.ok());
+                  ASSERT_TRUE(service_.BindDocument(&*doc).ok());
+                  std::vector<xml::EditOp> ops{
+                      {xml::EditOp::Kind::kRename,
+                       doc->first_child(doc->root()), "note"}};
+                  auto result = service_.SubmitEditStream(
+                      *star_src, *star_tgt, &*doc, ops);
+                  ASSERT_TRUE(result.ok());
+                  EXPECT_TRUE(result->short_circuited);
+                });
+  expect_booked("SubmitEditStream falling back", "edit_stream", star_pair,
+                {1, 1, kSample, kSample, 1, 0, 0}, [&] {
+                  auto doc = xml::ParseXml("<feed><entry>x</entry></feed>");
+                  ASSERT_TRUE(doc.ok());
+                  ASSERT_TRUE(service_.BindDocument(&*doc).ok());
+                  xml::NodeId entry = doc->first_child(doc->root());
+                  std::vector<xml::EditOp> ops{
+                      {xml::EditOp::Kind::kInsertTextBefore,
+                       doc->first_child(entry), "pre-"}};
+                  auto result = service_.SubmitEditStream(
+                      *star_src, *star_tgt, &*doc, ops);
+                  ASSERT_TRUE(result.ok());
+                  EXPECT_FALSE(result->short_circuited);
+                });
+  // Two requests: the cast books under its op and pair, the malformed item
+  // only a request and an error.
+  expect_booked("SubmitBatch", "cast", note_pair,
+                {2, 1, kSample, kSample, 1, 0, 1}, [&] {
+                  std::vector<ValidationService::BatchItem> items(2);
+                  items[0].source = v1_;
+                  items[0].target = v2_;
+                  items[0].xml_text = kFullNote;
+                  items[1] = items[0];
+                  items[1].xml_text = "<note><broken";
+                  auto results = service_.SubmitBatch(std::move(items)).get();
+                  ASSERT_EQ(results.size(), 2u);
+                  EXPECT_TRUE(results[0].status.ok());
+                  EXPECT_FALSE(results[1].status.ok());
+                });
 }
 
 }  // namespace

@@ -18,38 +18,39 @@
 //   xmlreval stats       <metrics.json>                 pretty-print a dump
 //   xmlreval trace-report <trace.json>                  latency decomposition
 //
-// Schemas are loaded by extension: *.dtd through the DTD front end,
-// anything else through the XSD front end. Exit status: 0 = valid /
-// success, 1 = invalid document, 2 = usage or input error. Unknown
-// subcommands print the usage message and exit 2.
+// Every subcommand that reads a schema is a client of one
+// service::ValidationService: it registers its schemas there (*.dtd
+// through the DTD front end, anything else through the XSD front end) and
+// asks the service for verdicts, relations and schemas. Each subcommand
+// declares its flags in one table; a numeric flag takes plain decimal
+// digits only. Exit status: 0 = valid / success, 1 = invalid document,
+// 2 = usage or input error. Unknown subcommands print the usage message
+// and exit 2.
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <unordered_set>
+#include <variant>
 #include <vector>
 
 #include "common/json.h"
 #include "common/macros.h"
+#include "core/corrector.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "core/cast_validator.h"
-#include "core/corrector.h"
-#include "core/full_validator.h"
-#include "core/relations.h"
-#include "core/streaming_validator.h"
-#include "schema/dtd_parser.h"
-#include "schema/xsd_parser.h"
 #include "schema/xsd_writer.h"
 #include "service/validation_service.h"
 #include "workload/random_docs.h"
@@ -58,6 +59,8 @@
 #include "xml/serializer.h"
 
 using namespace xmlreval;
+using service::SchemaHandle;
+using service::ValidationService;
 
 namespace {
 
@@ -90,7 +93,8 @@ int Usage() {
                " [--edits N] [--seed N]\n"
                "                       [--safe-percent P] [--metrics-out F]\n"
                "\nschemas ending in .dtd use the DTD front end; everything\n"
-               "else is parsed as XML Schema.\n"
+               "else is parsed as XML Schema. Numeric flags take decimal\n"
+               "digits only.\n"
                "cast --stream feeds the document (file, or stdin for \"-\")\n"
                "through the incremental push-parser engine in --chunk-bytes\n"
                "pieces (default 1 MiB): memory stays O(depth) regardless of\n"
@@ -141,24 +145,76 @@ Result<std::string> ReadFile(const std::string& path) {
   return buffer.str();
 }
 
-bool HasSuffix(const std::string& path, const char* suffix) {
-  size_t n = std::strlen(suffix);
-  return path.size() >= n && path.compare(path.size() - n, n, suffix) == 0;
-}
+// ------------------------------------------------------------------ flags
 
-Result<schema::Schema> LoadSchema(
-    const std::string& path,
-    const std::shared_ptr<automata::Alphabet>& alphabet) {
-  ASSIGN_OR_RETURN(std::string text, ReadFile(path));
-  if (HasSuffix(path, ".dtd")) {
-    return schema::ParseDtd(text, alphabet);
+// One entry of a subcommand's flag table: a switch, a text value, or a
+// numeric value.
+struct Flag {
+  const char* name;
+  std::variant<bool*, std::string*, uint64_t*> value;
+};
+
+// Splits argv into the table's flags and positional arguments ("-", stdin,
+// is positional). False on an unknown flag, a missing value, or a numeric
+// value that is not plain decimal digits (a sign, a space or a suffix) or
+// does not fit in 64 bits.
+bool ParseArgs(int argc, char** argv, std::initializer_list<Flag> flags,
+               std::vector<std::string>* positional) {
+  for (int i = 0; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg.size() < 2 || arg[0] != '-') {
+      positional->emplace_back(arg);
+      continue;
+    }
+    const Flag* flag = std::find_if(flags.begin(), flags.end(),
+                                    [&](const Flag& f) { return arg == f.name; });
+    if (flag == flags.end()) return false;
+    if (bool* const* on = std::get_if<bool*>(&flag->value)) {
+      **on = true;
+      continue;
+    }
+    if (++i == argc) return false;
+    const std::string_view value = argv[i];
+    if (std::string* const* text = std::get_if<std::string*>(&flag->value)) {
+      **text = value;
+      continue;
+    }
+    uint64_t number = 0;
+    const auto [end, error] =
+        std::from_chars(value.data(), value.data() + value.size(), number);
+    if (value.empty() || error != std::errc() ||
+        end != value.data() + value.size()) {
+      return false;
+    }
+    *std::get<uint64_t*>(flag->value) = number;
   }
-  return schema::ParseXsd(text, alphabet);
+  return true;
 }
 
-Result<xml::Document> LoadDocument(const std::string& path) {
+// ---------------------------------------------------- service client side
+
+// The one place a schema path picks its front end.
+service::SchemaFormat FormatOf(const std::string& path) {
+  return std::string_view(path).ends_with(".dtd") ? service::SchemaFormat::kDtd
+                                                  : service::SchemaFormat::kXsd;
+}
+
+// Reads the schema at `path` and registers it with `service` under its
+// path.
+Result<SchemaHandle> RegisterFile(ValidationService& service,
+                                  const std::string& path) {
   ASSIGN_OR_RETURN(std::string text, ReadFile(path));
-  return xml::ParseXml(text);
+  return service.RegisterText(path, FormatOf(path), text);
+}
+
+// Parses the document at `path` and binds it to the service's alphabet,
+// so every request on it takes the symbol path.
+Result<xml::Document> ReadDocument(const ValidationService& service,
+                                   const std::string& path) {
+  ASSIGN_OR_RETURN(std::string text, ReadFile(path));
+  ASSIGN_OR_RETURN(xml::Document doc, xml::ParseXml(text));
+  RETURN_IF_ERROR(service.BindDocument(&doc));
+  return doc;
 }
 
 void PrintReport(const char* what, const core::ValidationReport& report) {
@@ -175,57 +231,29 @@ void PrintReport(const char* what, const core::ValidationReport& report) {
   }
 }
 
-int CmdValidate(int argc, char** argv) {
-  if (argc != 2) return Usage();
-  auto alphabet = std::make_shared<automata::Alphabet>();
-  auto schema = LoadSchema(argv[0], alphabet);
-  if (!schema.ok()) {
-    std::fprintf(stderr, "%s\n", schema.status().ToString().c_str());
-    return 2;
-  }
-  auto doc = LoadDocument(argv[1]);
-  if (!doc.ok()) {
-    std::fprintf(stderr, "%s\n", doc.status().ToString().c_str());
-    return 2;
-  }
-  core::FullValidator validator(&*schema);
-  core::ValidationReport report = validator.Validate(*doc);
+// -------------------------------------------------------------- commands
+
+Result<int> CmdValidate(int argc, char** argv) {
+  std::vector<std::string> args;
+  if (!ParseArgs(argc, argv, {}, &args) || args.size() != 2) return Usage();
+  ValidationService service;
+  ASSIGN_OR_RETURN(SchemaHandle schema, RegisterFile(service, args[0]));
+  ASSIGN_OR_RETURN(xml::Document doc, ReadDocument(service, args[1]));
+  ASSIGN_OR_RETURN(core::ValidationReport report,
+                   service.Validate(schema, doc));
   PrintReport("validate", report);
   return report.valid ? 0 : 1;
 }
 
-struct LoadedPair {
-  std::shared_ptr<automata::Alphabet> alphabet;
-  std::unique_ptr<schema::Schema> source;
-  std::unique_ptr<schema::Schema> target;
-  std::unique_ptr<core::TypeRelations> relations;
-};
-
-Result<LoadedPair> LoadPair(const std::string& source_path,
-                            const std::string& target_path) {
-  LoadedPair pair;
-  pair.alphabet = std::make_shared<automata::Alphabet>();
-  ASSIGN_OR_RETURN(schema::Schema source,
-                   LoadSchema(source_path, pair.alphabet));
-  pair.source = std::make_unique<schema::Schema>(std::move(source));
-  ASSIGN_OR_RETURN(schema::Schema target,
-                   LoadSchema(target_path, pair.alphabet));
-  pair.target = std::make_unique<schema::Schema>(std::move(target));
-  ASSIGN_OR_RETURN(core::TypeRelations relations,
-                   core::TypeRelations::Compute(pair.source.get(),
-                                                pair.target.get()));
-  pair.relations =
-      std::make_unique<core::TypeRelations>(std::move(relations));
-  return pair;
-}
-
-// cast --stream: feed the document (file or stdin) through the incremental
-// engine chunk by chunk. Never builds a DOM, so a document far larger than
-// RAM validates in O(depth) memory; the greppable "stream:" line reports
-// the byte accounting (reconciled against ground truth by CI's
-// streaming-smoke job).
-int RunStreamingCast(const core::TypeRelations& relations,
-                     const std::string& doc_path, size_t chunk_bytes) {
+// cast --stream: feed the document (file or stdin) through the service's
+// streaming session chunk by chunk. Never builds a DOM, so a document far
+// larger than RAM validates in O(depth) memory; the greppable "stream:"
+// line reports the byte accounting (reconciled against ground truth by
+// tools/smoke/streaming.sh). A malformed or truncated stream is an input
+// error (2), not an "invalid" verdict (1).
+Result<int> RunStreamingCast(ValidationService& service, SchemaHandle source,
+                             SchemaHandle target, const std::string& doc_path,
+                             uint64_t chunk_bytes) {
   std::ifstream file;
   std::istream* in = &std::cin;
   if (doc_path != "-") {
@@ -236,130 +264,82 @@ int RunStreamingCast(const core::TypeRelations& relations,
     }
     in = &file;
   }
-  core::StreamingCastSession session(relations);
-  std::vector<char> buffer(std::max<size_t>(chunk_bytes, 1));
+  ASSIGN_OR_RETURN(std::unique_ptr<ValidationService::CastStreamSession> session,
+                   service.StartCastStream(source, target));
+  std::vector<char> buffer(std::max<uint64_t>(chunk_bytes, 1));
   while (in->read(buffer.data(), static_cast<std::streamsize>(buffer.size())),
          in->gcount() > 0) {
-    Status fed = session.Feed(
+    Status fed = session->Feed(
         std::string_view(buffer.data(), static_cast<size_t>(in->gcount())));
     if (!fed.ok()) break;  // verdict decided; stop reading
   }
-  const core::StreamingReport& report = session.Finish();
-  // Three-way exit mirroring the DOM cast path: a malformed or truncated
-  // stream is an input error (2), not an "invalid" verdict (1). status()
-  // separates the two: kInvalidArgument carries a cast rejection, any
-  // other failure is a real error.
-  const Status& decided = session.status();
-  if (!decided.ok() && decided.code() != StatusCode::kInvalidArgument) {
-    std::fprintf(stderr, "error: %s\n", decided.ToString().c_str());
-    std::printf("stream: bytes_fed=%llu bytes_skipped=%llu "
-                "max_live_frames=%llu peak_carry_bytes=%llu\n",
-                (unsigned long long)report.bytes_fed,
-                (unsigned long long)report.bytes_skipped,
-                (unsigned long long)report.max_live_frames,
-                (unsigned long long)report.peak_carry_bytes);
-    return 2;
-  }
-  if (report.valid) {
-    std::printf("cast: VALID  (visited %llu nodes, skipped %llu subtrees, "
-                "%llu DFA steps)\n",
-                (unsigned long long)report.counters.nodes_visited,
-                (unsigned long long)report.counters.subtrees_skipped,
-                (unsigned long long)report.counters.dfa_steps);
+  Result<core::ValidationReport> report = session->Finish();
+  if (report.ok()) {
+    PrintReport("cast", *report);
   } else {
-    std::string where =
-        report.violation_path_known
-            ? xml::DeweyPath(report.violation_path).ToString()
-            : std::string("?");
-    std::printf("cast: INVALID at %s — %s\n", where.c_str(),
-                report.violation.c_str());
+    std::fprintf(stderr, "error: %s\n", report.status().ToString().c_str());
   }
+  const core::StreamingReport& streamed = session->streaming_report();
   std::printf("stream: bytes_fed=%llu bytes_skipped=%llu "
               "max_live_frames=%llu peak_carry_bytes=%llu\n",
-              (unsigned long long)report.bytes_fed,
-              (unsigned long long)report.bytes_skipped,
-              (unsigned long long)report.max_live_frames,
-              (unsigned long long)report.peak_carry_bytes);
-  return report.valid ? 0 : 1;
+              (unsigned long long)streamed.bytes_fed,
+              (unsigned long long)streamed.bytes_skipped,
+              (unsigned long long)streamed.max_live_frames,
+              (unsigned long long)streamed.peak_carry_bytes);
+  if (!report.ok()) return 2;
+  return report->valid ? 0 : 1;
 }
 
-int CmdCast(int argc, char** argv) {
+// A DOM cast establishes the §3.2 precondition first: the service
+// full-validates against the source and fails a source-invalid document
+// with kFailedPrecondition, an input error (2).
+Result<int> CmdCast(int argc, char** argv) {
   bool stream = false;
-  size_t chunk_bytes = size_t{1} << 20;
-  std::vector<char*> positional;
-  for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--stream") == 0) {
-      stream = true;
-    } else if (std::strcmp(argv[i], "--chunk-bytes") == 0 && i + 1 < argc) {
-      chunk_bytes = std::strtoull(argv[++i], nullptr, 10);
-    } else if (argv[i][0] == '-' && std::strcmp(argv[i], "-") != 0) {
-      return Usage();
-    } else {
-      positional.push_back(argv[i]);
-    }
+  uint64_t chunk_bytes = uint64_t{1} << 20;
+  std::vector<std::string> args;
+  if (!ParseArgs(argc, argv,
+                 {{"--stream", &stream}, {"--chunk-bytes", &chunk_bytes}},
+                 &args) ||
+      args.size() != 3) {
+    return Usage();
   }
-  if (positional.size() != 3) return Usage();
-  auto pair = LoadPair(positional[0], positional[1]);
-  if (!pair.ok()) {
-    std::fprintf(stderr, "%s\n", pair.status().ToString().c_str());
-    return 2;
-  }
+  ValidationService::Options options;
+  options.check_cast_precondition = true;
+  ValidationService service(options);
+  ASSIGN_OR_RETURN(SchemaHandle source, RegisterFile(service, args[0]));
+  ASSIGN_OR_RETURN(SchemaHandle target, RegisterFile(service, args[1]));
   if (stream) {
-    return RunStreamingCast(*pair->relations, positional[2], chunk_bytes);
+    return RunStreamingCast(service, source, target, args[2], chunk_bytes);
   }
-  auto doc = LoadDocument(positional[2]);
-  if (!doc.ok()) {
-    std::fprintf(stderr, "%s\n", doc.status().ToString().c_str());
-    return 2;
-  }
-  // Establish the precondition before casting.
-  core::ValidationReport source_report =
-      core::FullValidator(pair->source.get()).Validate(*doc);
-  if (!source_report.valid) {
-    std::fprintf(stderr,
-                 "input is not valid under the SOURCE schema (%s); the "
-                 "cast precondition does not hold\n",
-                 source_report.violation.c_str());
-    return 2;
-  }
-  core::CastValidator validator(pair->relations.get());
-  core::ValidationReport report = validator.Validate(*doc);
+  ASSIGN_OR_RETURN(xml::Document doc, ReadDocument(service, args[2]));
+  ASSIGN_OR_RETURN(core::ValidationReport report,
+                   service.Cast(source, target, doc));
   PrintReport("cast", report);
   return report.valid ? 0 : 1;
 }
 
-int CmdCorrect(int argc, char** argv) {
-  if (argc < 3) return Usage();
+Result<int> CmdCorrect(int argc, char** argv) {
   std::string out_path;
-  if (argc == 5 && std::strcmp(argv[3], "-o") == 0) {
-    out_path = argv[4];
-  } else if (argc != 3) {
+  std::vector<std::string> args;
+  if (!ParseArgs(argc, argv, {{"-o", &out_path}}, &args) || args.size() != 3) {
     return Usage();
   }
-  auto pair = LoadPair(argv[0], argv[1]);
-  if (!pair.ok()) {
-    std::fprintf(stderr, "%s\n", pair.status().ToString().c_str());
-    return 2;
-  }
-  auto doc = LoadDocument(argv[2]);
-  if (!doc.ok()) {
-    std::fprintf(stderr, "%s\n", doc.status().ToString().c_str());
-    return 2;
-  }
-  core::ValidationReport source_report =
-      core::FullValidator(pair->source.get()).Validate(*doc);
+  ValidationService service;
+  ASSIGN_OR_RETURN(SchemaHandle source, RegisterFile(service, args[0]));
+  ASSIGN_OR_RETURN(SchemaHandle target, RegisterFile(service, args[1]));
+  ASSIGN_OR_RETURN(xml::Document doc, ReadDocument(service, args[2]));
+  ASSIGN_OR_RETURN(core::ValidationReport source_report,
+                   service.Validate(source, doc));
   if (!source_report.valid) {
     std::fprintf(stderr, "input is not valid under the source schema (%s)\n",
                  source_report.violation.c_str());
     return 2;
   }
-  core::DocumentCorrector corrector(pair->relations.get());
-  auto report = corrector.Correct(&*doc);
-  if (!report.ok()) {
-    std::fprintf(stderr, "%s\n", report.status().ToString().c_str());
-    return 2;
-  }
-  for (const core::CorrectionStep& step : report->steps) {
+  ASSIGN_OR_RETURN(service::RelationsPtr relations,
+                   service.cache().Get(source, target));
+  ASSIGN_OR_RETURN(core::CorrectionReport report,
+                   core::DocumentCorrector(relations.get()).Correct(&doc));
+  for (const core::CorrectionStep& step : report.steps) {
     const char* kind = "?";
     switch (step.kind) {
       case core::CorrectionStep::Kind::kRewriteText:
@@ -381,8 +361,8 @@ int CmdCorrect(int argc, char** argv) {
     std::printf("  %-8s at %-10s %s\n", kind, step.where.c_str(),
                 step.detail.c_str());
   }
-  std::printf("%zu repair(s) applied\n", report->steps.size());
-  std::string text = xml::Serialize(*doc);
+  std::printf("%zu repair(s) applied\n", report.steps.size());
+  std::string text = xml::Serialize(doc);
   if (out_path.empty()) {
     std::fputs(text.c_str(), stdout);
   } else {
@@ -396,68 +376,54 @@ int CmdCorrect(int argc, char** argv) {
   return 0;
 }
 
-int CmdSample(int argc, char** argv) {
-  if (argc < 1) return Usage();
+Result<int> CmdSample(int argc, char** argv) {
   workload::RandomDocOptions options;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--root") == 0 && i + 1 < argc) {
-      options.root_label = argv[++i];
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      options.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--max-elems") == 0 && i + 1 < argc) {
-      options.max_elements = std::strtoull(argv[++i], nullptr, 10);
-    } else {
-      return Usage();
-    }
+  std::vector<std::string> args;
+  if (!ParseArgs(argc, argv,
+                 {{"--root", &options.root_label},
+                  {"--seed", &options.seed},
+                  {"--max-elems", &options.max_elements}},
+                 &args) ||
+      args.size() != 1) {
+    return Usage();
   }
-  auto alphabet = std::make_shared<automata::Alphabet>();
-  auto schema = LoadSchema(argv[0], alphabet);
-  if (!schema.ok()) {
-    std::fprintf(stderr, "%s\n", schema.status().ToString().c_str());
-    return 2;
-  }
-  auto doc = workload::SampleDocument(*schema, options);
-  if (!doc.ok()) {
-    std::fprintf(stderr, "%s\n", doc.status().ToString().c_str());
-    return 2;
-  }
-  std::fputs(xml::Serialize(*doc).c_str(), stdout);
+  ValidationService service;
+  ASSIGN_OR_RETURN(SchemaHandle handle, RegisterFile(service, args[0]));
+  ASSIGN_OR_RETURN(xml::Document doc,
+                   workload::SampleDocument(
+                       *service.registry().schema(handle), options));
+  std::fputs(xml::Serialize(doc).c_str(), stdout);
   return 0;
 }
 
 // Renders any supported schema (DTD included) as XSD text.
-int CmdExport(int argc, char** argv) {
-  if (argc != 1) return Usage();
-  auto alphabet = std::make_shared<automata::Alphabet>();
-  auto schema = LoadSchema(argv[0], alphabet);
-  if (!schema.ok()) {
-    std::fprintf(stderr, "%s\n", schema.status().ToString().c_str());
-    return 2;
-  }
-  auto text = schema::WriteXsd(*schema);
-  if (!text.ok()) {
-    std::fprintf(stderr, "%s\n", text.status().ToString().c_str());
-    return 2;
-  }
-  std::fputs(text->c_str(), stdout);
+Result<int> CmdExport(int argc, char** argv) {
+  std::vector<std::string> args;
+  if (!ParseArgs(argc, argv, {}, &args) || args.size() != 1) return Usage();
+  ValidationService service;
+  ASSIGN_OR_RETURN(SchemaHandle handle, RegisterFile(service, args[0]));
+  ASSIGN_OR_RETURN(std::string text,
+                   schema::WriteXsd(*service.registry().schema(handle)));
+  std::fputs(text.c_str(), stdout);
   return 0;
 }
 
-int CmdRelations(int argc, char** argv) {
-  if (argc != 2) return Usage();
-  auto pair = LoadPair(argv[0], argv[1]);
-  if (!pair.ok()) {
-    std::fprintf(stderr, "%s\n", pair.status().ToString().c_str());
-    return 2;
-  }
-  const schema::Schema& source = *pair->source;
-  const schema::Schema& target = *pair->target;
+Result<int> CmdRelations(int argc, char** argv) {
+  std::vector<std::string> args;
+  if (!ParseArgs(argc, argv, {}, &args) || args.size() != 2) return Usage();
+  ValidationService service;
+  ASSIGN_OR_RETURN(SchemaHandle source_handle, RegisterFile(service, args[0]));
+  ASSIGN_OR_RETURN(SchemaHandle target_handle, RegisterFile(service, args[1]));
+  ASSIGN_OR_RETURN(service::RelationsPtr relations,
+                   service.cache().Get(source_handle, target_handle));
+  const schema::Schema& source = *service.registry().schema(source_handle);
+  const schema::Schema& target = *service.registry().schema(target_handle);
   std::printf("%zu source types x %zu target types\n", source.num_types(),
               target.num_types());
   for (schema::TypeId s = 0; s < source.num_types(); ++s) {
     for (schema::TypeId t = 0; t < target.num_types(); ++t) {
-      bool subsumed = pair->relations->Subsumed(s, t);
-      bool disjoint = pair->relations->Disjoint(s, t);
+      bool subsumed = relations->Subsumed(s, t);
+      bool disjoint = relations->Disjoint(s, t);
       if (!subsumed && !disjoint) continue;  // print only decisive pairs
       std::printf("  %-24s %s %-24s\n", source.TypeName(s).c_str(),
                   subsumed ? "<=" : "><", target.TypeName(t).c_str());
@@ -468,20 +434,15 @@ int CmdRelations(int argc, char** argv) {
   return 0;
 }
 
-// Reads both schema texts into a RegisterPlanPair spec (format sniffed
-// from the extension, keys = the paths).
-Result<service::ValidationService::PlanPairSpec> LoadPairSpec(
+// Reads both schema texts into a RegisterPlanPair spec (keys = the paths).
+Result<ValidationService::PlanPairSpec> LoadPairSpec(
     const std::string& source_path, const std::string& target_path) {
-  service::ValidationService::PlanPairSpec spec;
+  ValidationService::PlanPairSpec spec;
   spec.source_key = source_path;
-  spec.source_format = HasSuffix(source_path, ".dtd")
-                           ? service::SchemaFormat::kDtd
-                           : service::SchemaFormat::kXsd;
+  spec.source_format = FormatOf(source_path);
   ASSIGN_OR_RETURN(spec.source_text, ReadFile(source_path));
   spec.target_key = target_path;
-  spec.target_format = HasSuffix(target_path, ".dtd")
-                           ? service::SchemaFormat::kDtd
-                           : service::SchemaFormat::kXsd;
+  spec.target_format = FormatOf(target_path);
   ASSIGN_OR_RETURN(spec.target_text, ReadFile(target_path));
   return spec;
 }
@@ -489,55 +450,43 @@ Result<service::ValidationService::PlanPairSpec> LoadPairSpec(
 // Precompiles one (source, target) cast plan into the plan cache, so
 // serving processes pointed at the same directory warm-start. Idempotent:
 // a second run finds the artifact and reports "warm".
-int CmdCompile(int argc, char** argv) {
-  std::vector<std::string> positional;
+Result<int> CmdCompile(int argc, char** argv) {
   std::string dir;
   bool reverse = false;
-  for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--plan-cache-dir") == 0 && i + 1 < argc) {
-      dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--reverse") == 0) {
-      reverse = true;
-    } else if (argv[i][0] == '-') {
-      return Usage();
-    } else {
-      positional.emplace_back(argv[i]);
-    }
+  std::vector<std::string> args;
+  if (!ParseArgs(argc, argv,
+                 {{"--plan-cache-dir", &dir}, {"--reverse", &reverse}},
+                 &args) ||
+      args.size() != 2 || dir.empty()) {
+    return Usage();
   }
-  if (positional.size() != 2 || dir.empty()) return Usage();
 
-  service::ValidationService::Options options;
+  ValidationService::Options options;
   options.plan_cache_dir = dir;
   options.cache.relations.build_reverse_automata = reverse;
-  service::ValidationService service(options);
+  ValidationService service(options);
 
-  auto spec = LoadPairSpec(positional[0], positional[1]);
-  if (!spec.ok()) {
-    std::fprintf(stderr, "%s\n", spec.status().ToString().c_str());
-    return 2;
-  }
+  ASSIGN_OR_RETURN(ValidationService::PlanPairSpec spec,
+                   LoadPairSpec(args[0], args[1]));
   auto t0 = std::chrono::steady_clock::now();
-  auto handles = service.RegisterPlanPair(*spec);
+  ASSIGN_OR_RETURN(ValidationService::PlanPairHandles handles,
+                   service.RegisterPlanPair(spec));
   auto t1 = std::chrono::steady_clock::now();
-  if (!handles.ok()) {
-    std::fprintf(stderr, "%s\n", handles.status().ToString().c_str());
-    return 2;
-  }
   double millis =
       std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(
           t1 - t0)
           .count();
   service::PlanKey key;
-  key.source_format = spec->source_format;
-  key.source_text = spec->source_text;
-  key.target_format = spec->target_format;
-  key.target_text = spec->target_text;
+  key.source_format = spec.source_format;
+  key.source_text = spec.source_text;
+  key.target_format = spec.target_format;
+  key.target_text = spec.target_text;
   key.reverse_automata = reverse;
   const std::string path = service.plan_cache()->PlanPath(key);
   service::PlanCache::Stats stats = service.plan_cache()->GetStats();
   std::printf("%s: %s in %.1f ms\n", path.c_str(),
-              handles->warm ? "already compiled (warm load verified)"
-                            : "compiled and published",
+              handles.warm ? "already compiled (warm load verified)"
+                           : "compiled and published",
               millis);
   std::printf("plan cache: %llu hit(s), %llu miss(es), %llu corrupt, "
               "%llu save(s)\n",
@@ -568,12 +517,13 @@ bool WriteSnapshotFile(const obs::MetricsSnapshot& snapshot,
     std::fprintf(stderr, "cannot write '%s'\n", path.c_str());
     return false;
   }
-  out << (HasSuffix(path, ".json") ? snapshot.ToJson()
-                                   : snapshot.ToPrometheusText());
+  out << (std::string_view(path).ends_with(".json")
+              ? snapshot.ToJson()
+              : snapshot.ToPrometheusText());
   return true;
 }
 
-bool WriteMetricsFile(const service::ValidationService& service,
+bool WriteMetricsFile(const ValidationService& service,
                       const std::string& path) {
   return WriteSnapshotFile(service.metrics().Snapshot(), path);
 }
@@ -581,50 +531,33 @@ bool WriteMetricsFile(const service::ValidationService& service,
 // Batch serving through the src/service/ layer: register both schemas
 // once, fan the documents out over the ValidationService thread pool, and
 // report per-document verdicts plus the service's cache statistics.
-int CmdServeBatch(int argc, char** argv) {
-  std::vector<std::string> positional;
-  size_t threads = 0;
-  size_t intra_doc_threads = 0;
-  size_t repeat = 1;
-  size_t metrics_interval = 0;  // seconds; 0 = only on signal/exit
+Result<int> CmdServeBatch(int argc, char** argv) {
+  uint64_t threads = 0;
+  uint64_t intra_doc_threads = 0;
+  uint64_t repeat = 1;
+  uint64_t metrics_interval = 0;  // seconds; 0 = only on signal/exit
+  uint64_t stream_threshold_bytes = 0;
   std::string metrics_out;
   std::string trace_out;
   std::string flight_out;
   std::string plan_cache_dir;
   bool tail_sample = false;
-  size_t stream_threshold_bytes = 0;
-  for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--stream-threshold-bytes") == 0 &&
-               i + 1 < argc) {
-      stream_threshold_bytes = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--intra-doc-threads") == 0 &&
-               i + 1 < argc) {
-      intra_doc_threads = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--repeat") == 0 && i + 1 < argc) {
-      repeat = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--metrics-out") == 0 && i + 1 < argc) {
-      metrics_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--metrics-interval") == 0 &&
-               i + 1 < argc) {
-      metrics_interval = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
-      trace_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--tail-sample") == 0) {
-      tail_sample = true;
-    } else if (std::strcmp(argv[i], "--flight-recorder") == 0 &&
-               i + 1 < argc) {
-      flight_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--plan-cache-dir") == 0 && i + 1 < argc) {
-      plan_cache_dir = argv[++i];
-    } else if (argv[i][0] == '-') {
-      return Usage();
-    } else {
-      positional.emplace_back(argv[i]);
-    }
+  std::vector<std::string> args;
+  if (!ParseArgs(argc, argv,
+                 {{"--threads", &threads},
+                  {"--stream-threshold-bytes", &stream_threshold_bytes},
+                  {"--intra-doc-threads", &intra_doc_threads},
+                  {"--repeat", &repeat},
+                  {"--metrics-out", &metrics_out},
+                  {"--metrics-interval", &metrics_interval},
+                  {"--trace-out", &trace_out},
+                  {"--tail-sample", &tail_sample},
+                  {"--flight-recorder", &flight_out},
+                  {"--plan-cache-dir", &plan_cache_dir}},
+                 &args) ||
+      args.size() < 3 || repeat == 0) {
+    return Usage();
   }
-  if (positional.size() < 3 || repeat == 0) return Usage();
   if (!trace_out.empty() || tail_sample) obs::SetTraceEnabled(true);
   if (tail_sample) obs::TraceSink::Global().SetTailSampling(true);
   if (!flight_out.empty()) {
@@ -632,12 +565,12 @@ int CmdServeBatch(int argc, char** argv) {
     obs::InstallCrashHandlers(flight_out.c_str());
   }
 
-  service::ValidationService::Options options;
+  ValidationService::Options options;
   options.batch_threads = threads;
   options.intra_doc_threads = intra_doc_threads;
   options.plan_cache_dir = plan_cache_dir;
   options.stream_threshold_bytes = stream_threshold_bytes;
-  service::ValidationService service(options);
+  ValidationService service(options);
   if (!flight_out.empty()) {
     // The crash dump carries the service's headline counters so a
     // post-mortem shows how far the batch got. The registry hands back
@@ -658,6 +591,39 @@ int CmdServeBatch(int argc, char** argv) {
         metrics.counter("xmlreval_verdicts_total", {{"verdict", "error"}}));
     recorder.RegisterCounter("xmlreval_nodes_visited_total",
                              metrics.counter("xmlreval_nodes_visited_total"));
+  }
+
+  SchemaHandle source = service::kInvalidSchemaHandle;
+  SchemaHandle target = service::kInvalidSchemaHandle;
+  if (!plan_cache_dir.empty()) {
+    // Warm-start path: one RegisterPlanPair loads schemas + relations +
+    // analyzer from the mmap'd plan artifact (compiling and publishing it
+    // on a cold miss).
+    ASSIGN_OR_RETURN(ValidationService::PlanPairSpec spec,
+                     LoadPairSpec(args[0], args[1]));
+    ASSIGN_OR_RETURN(ValidationService::PlanPairHandles pair,
+                     service.RegisterPlanPair(spec));
+    source = pair.source;
+    target = pair.target;
+    std::fprintf(stderr, "plan cache: %s\n",
+                 pair.warm ? "warm start (artifact mapped)"
+                           : "cold start (compiled and published)");
+  } else {
+    ASSIGN_OR_RETURN(source, RegisterFile(service, args[0]));
+    ASSIGN_OR_RETURN(target, RegisterFile(service, args[1]));
+  }
+
+  std::vector<ValidationService::BatchItem> items;
+  const size_t doc_count = args.size() - 2;
+  for (uint64_t r = 0; r < repeat; ++r) {
+    for (size_t d = 2; d < args.size(); ++d) {
+      ValidationService::BatchItem item;
+      item.op = ValidationService::BatchOp::kCast;
+      item.source = source;
+      item.target = target;
+      ASSIGN_OR_RETURN(item.xml_text, ReadFile(args[d]));
+      items.push_back(std::move(item));
+    }
   }
 
   // Periodic / signal-driven metrics exposition while the batch runs.
@@ -682,65 +648,8 @@ int CmdServeBatch(int argc, char** argv) {
     });
   }
 
-  service::SchemaHandle handles[2];
-  if (!plan_cache_dir.empty()) {
-    // Warm-start path: one RegisterPlanPair loads schemas + relations +
-    // analyzer from the mmap'd plan artifact (compiling and publishing it
-    // on a cold miss).
-    auto spec = LoadPairSpec(positional[0], positional[1]);
-    if (!spec.ok()) {
-      std::fprintf(stderr, "%s\n", spec.status().ToString().c_str());
-      return 2;
-    }
-    auto pair = service.RegisterPlanPair(*spec);
-    if (!pair.ok()) {
-      std::fprintf(stderr, "%s\n", pair.status().ToString().c_str());
-      return 2;
-    }
-    handles[0] = pair->source;
-    handles[1] = pair->target;
-    std::fprintf(stderr, "plan cache: %s\n",
-                 pair->warm ? "warm start (artifact mapped)"
-                            : "cold start (compiled and published)");
-  } else {
-    for (int i = 0; i < 2; ++i) {
-      auto text = ReadFile(positional[i]);
-      if (!text.ok()) {
-        std::fprintf(stderr, "%s\n", text.status().ToString().c_str());
-        return 2;
-      }
-      auto handle =
-          HasSuffix(positional[i], ".dtd")
-              ? service.registry().RegisterDtd(positional[i], *text)
-              : service.registry().RegisterXsd(positional[i], *text);
-      if (!handle.ok()) {
-        std::fprintf(stderr, "%s\n", handle.status().ToString().c_str());
-        return 2;
-      }
-      handles[i] = *handle;
-    }
-  }
-
-  std::vector<service::ValidationService::BatchItem> items;
-  size_t doc_count = positional.size() - 2;
-  for (size_t r = 0; r < repeat; ++r) {
-    for (size_t d = 2; d < positional.size(); ++d) {
-      auto text = ReadFile(positional[d]);
-      if (!text.ok()) {
-        std::fprintf(stderr, "%s\n", text.status().ToString().c_str());
-        return 2;
-      }
-      service::ValidationService::BatchItem item;
-      item.op = service::ValidationService::BatchOp::kCast;
-      item.source = handles[0];
-      item.target = handles[1];
-      item.xml_text = std::move(*text);
-      items.push_back(std::move(item));
-    }
-  }
-
   auto t0 = std::chrono::steady_clock::now();
-  std::vector<service::ValidationService::BatchItemResult> results =
+  std::vector<ValidationService::BatchItemResult> results =
       service.SubmitBatch(std::move(items)).get();
   auto t1 = std::chrono::steady_clock::now();
 
@@ -748,14 +657,14 @@ int CmdServeBatch(int argc, char** argv) {
   int exit_code = 0;
   for (size_t d = 0; d < doc_count; ++d) {
     const auto& result = results[d];
+    const char* path = args[2 + d].c_str();
     if (!result.status.ok()) {
-      std::printf("%s: ERROR — %s\n", positional[2 + d].c_str(),
-                  result.status.ToString().c_str());
+      std::printf("%s: ERROR — %s\n", path, result.status.ToString().c_str());
       exit_code = 2;
     } else if (result.report.valid) {
-      std::printf("%s: VALID\n", positional[2 + d].c_str());
+      std::printf("%s: VALID\n", path);
     } else {
-      std::printf("%s: INVALID at %s — %s\n", positional[2 + d].c_str(),
+      std::printf("%s: INVALID at %s — %s\n", path,
                   result.report.violation_path.ToString().c_str(),
                   result.report.violation.c_str());
       if (exit_code == 0) exit_code = 1;
@@ -766,7 +675,7 @@ int CmdServeBatch(int argc, char** argv) {
       std::chrono::duration_cast<std::chrono::duration<double>>(t1 - t0)
           .count();
   service::RelationsCache::Stats cache = service.cache().stats();
-  service::ValidationService::Counters counters = service.counters();
+  ValidationService::Counters counters = service.counters();
   std::printf(
       "\n%llu documents in %.3f ms (%.0f docs/s) — %llu valid, "
       "%llu invalid, %llu errors\n"
@@ -819,122 +728,76 @@ int CmdServeBatch(int argc, char** argv) {
 // editor, then replayed through ValidationService::SubmitEditStream on a
 // fresh parse — node ids are deterministic per parse, so the recorded
 // script resolves identically.
-int CmdAnalyzeUpdates(int argc, char** argv) {
-  std::vector<std::string> positional;
+Result<int> CmdAnalyzeUpdates(int argc, char** argv) {
   workload::UpdateWorkloadOptions workload_options;
   workload_options.edit_count = 16;
-  int safe_percent = 100;
+  uint64_t safe_percent = 100;
   std::string metrics_out;
-  for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--edits") == 0 && i + 1 < argc) {
-      workload_options.edit_count = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      workload_options.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--safe-percent") == 0 && i + 1 < argc) {
-      safe_percent = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--metrics-out") == 0 && i + 1 < argc) {
-      metrics_out = argv[++i];
-    } else if (argv[i][0] == '-') {
-      return Usage();
-    } else {
-      positional.emplace_back(argv[i]);
-    }
-  }
-  if (positional.size() != 3 || safe_percent < 0 || safe_percent > 100) {
+  std::vector<std::string> args;
+  if (!ParseArgs(argc, argv,
+                 {{"--edits", &workload_options.edit_count},
+                  {"--seed", &workload_options.seed},
+                  {"--safe-percent", &safe_percent},
+                  {"--metrics-out", &metrics_out}},
+                 &args) ||
+      args.size() != 3 || safe_percent > 100) {
     return Usage();
   }
 
-  service::ValidationService service;
-  service::SchemaHandle handles[2];
-  for (int i = 0; i < 2; ++i) {
-    auto text = ReadFile(positional[i]);
-    if (!text.ok()) {
-      std::fprintf(stderr, "%s\n", text.status().ToString().c_str());
-      return 2;
-    }
-    auto handle = HasSuffix(positional[i], ".dtd")
-                      ? service.registry().RegisterDtd(positional[i], *text)
-                      : service.registry().RegisterXsd(positional[i], *text);
-    if (!handle.ok()) {
-      std::fprintf(stderr, "%s\n", handle.status().ToString().c_str());
-      return 2;
-    }
-    handles[i] = *handle;
-  }
-  auto doc_text = ReadFile(positional[2]);
-  if (!doc_text.ok()) {
-    std::fprintf(stderr, "%s\n", doc_text.status().ToString().c_str());
-    return 2;
-  }
+  ValidationService service;
+  ASSIGN_OR_RETURN(SchemaHandle source, RegisterFile(service, args[0]));
+  ASSIGN_OR_RETURN(SchemaHandle target, RegisterFile(service, args[1]));
+  ASSIGN_OR_RETURN(std::string doc_text, ReadFile(args[2]));
 
   // Generate the script against a scratch parse. With --safe-percent < 100
   // the complementary fraction of rename/insert labels comes from outside
   // the registered schemas, which the analyzer cannot decide statically.
-  auto scratch = xml::ParseXml(*doc_text);
-  if (!scratch.ok()) {
-    std::fprintf(stderr, "%s\n", scratch.status().ToString().c_str());
-    return 2;
-  }
+  ASSIGN_OR_RETURN(xml::Document scratch, xml::ParseXml(doc_text));
   if (safe_percent < 100) {
     std::vector<std::string> doc_labels;
     {
       std::unordered_set<std::string> seen;
-      std::vector<xml::NodeId> stack{scratch->root()};
+      std::vector<xml::NodeId> stack{scratch.root()};
       while (!stack.empty()) {
         xml::NodeId node = stack.back();
         stack.pop_back();
-        if (scratch->IsElement(node)) {
-          std::string label(scratch->label(node));
+        if (scratch.IsElement(node)) {
+          std::string label(scratch.label(node));
           if (seen.insert(label).second) {
             doc_labels.push_back(std::move(label));
           }
-          for (xml::NodeId c = scratch->first_child(node);
-               c != xml::kInvalidNode; c = scratch->next_sibling(c)) {
+          for (xml::NodeId c = scratch.first_child(node);
+               c != xml::kInvalidNode; c = scratch.next_sibling(c)) {
             stack.push_back(c);
           }
         }
       }
     }
-    workload_options.safe_percent = safe_percent;
+    workload_options.safe_percent = static_cast<int>(safe_percent);
     workload_options.rename_safe_labels = doc_labels;
     workload_options.insert_safe_labels = doc_labels;
     workload_options.rename_unsafe_labels = {"__wild1", "__wild2"};
     workload_options.insert_unsafe_labels = {"__wild1", "__wild2"};
   }
   std::vector<xml::EditOp> script;
-  xml::DocumentEditor scratch_editor(&*scratch);
-  auto generated = workload::ApplyRandomUpdates(&*scratch, &scratch_editor,
-                                                workload_options, &script);
-  if (!generated.ok()) {
-    std::fprintf(stderr, "%s\n", generated.status().ToString().c_str());
-    return 2;
-  }
+  xml::DocumentEditor scratch_editor(&scratch);
+  RETURN_IF_ERROR(workload::ApplyRandomUpdates(&scratch, &scratch_editor,
+                                               workload_options, &script)
+                      .status());
 
-  // Replay through the service on a fresh parse.
-  auto doc = xml::ParseXml(*doc_text);
-  if (!doc.ok()) {
-    std::fprintf(stderr, "%s\n", doc.status().ToString().c_str());
-    return 2;
-  }
-  Status bind = service.BindDocument(&*doc);
-  if (!bind.ok()) {
-    std::fprintf(stderr, "%s\n", bind.ToString().c_str());
-    return 2;
-  }
-  auto result =
-      service.SubmitEditStream(handles[0], handles[1], &*doc, script);
-  if (!result.ok()) {
-    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
-    return 2;
-  }
+  // Replay through the service on a fresh, bound parse.
+  ASSIGN_OR_RETURN(xml::Document doc, xml::ParseXml(doc_text));
+  RETURN_IF_ERROR(service.BindDocument(&doc));
+  ASSIGN_OR_RETURN(ValidationService::EditStreamResult result,
+                   service.SubmitEditStream(source, target, &doc, script));
 
-  const analysis::StreamVerdict& stream = result->stream;
+  const analysis::StreamVerdict& stream = result.stream;
   std::printf(
       "%zu edit(s): %zu safe, %zu fatal, %zu unknown "
       "(%zu decided-but-entangled)\n",
       script.size(), stream.safe_ops, stream.fatal_ops, stream.unknown_ops,
       stream.downgraded_ops);
-  if (result->short_circuited) {
+  if (result.short_circuited) {
     std::printf("stream verdict: %s — short-circuited, zero tree work (%s)\n",
                 analysis::SafetyName(stream.verdict), stream.reason);
   } else {
@@ -942,26 +805,23 @@ int CmdAnalyzeUpdates(int argc, char** argv) {
                 "revalidation (%s)\n",
                 stream.reason);
   }
-  PrintReport("analyze-updates", result->report);
+  PrintReport("analyze-updates", result.report);
   if (!metrics_out.empty() && !WriteMetricsFile(service, metrics_out)) {
     return 2;
   }
-  return result->report.valid ? 0 : 1;
+  return result.report.valid ? 0 : 1;
 }
 
 // Pretty-prints a JSON metrics dump produced by --metrics-out. Reads the
 // same format the service writes; useful for eyeballing a dump without
 // Prometheus tooling.
-int CmdStats(int argc, char** argv) {
-  if (argc != 1) return Usage();
-  auto text = ReadFile(argv[0]);
-  if (!text.ok()) {
-    std::fprintf(stderr, "%s\n", text.status().ToString().c_str());
-    return 2;
-  }
-  auto parsed = json::Parse(*text);
+Result<int> CmdStats(int argc, char** argv) {
+  std::vector<std::string> args;
+  if (!ParseArgs(argc, argv, {}, &args) || args.size() != 1) return Usage();
+  ASSIGN_OR_RETURN(std::string text, ReadFile(args[0]));
+  auto parsed = json::Parse(text);
   if (!parsed.ok()) {
-    std::fprintf(stderr, "%s: %s\n", argv[0],
+    std::fprintf(stderr, "%s: %s\n", args[0].c_str(),
                  parsed.status().ToString().c_str());
     return 2;
   }
@@ -1025,26 +885,25 @@ int CmdStats(int argc, char** argv) {
 // carry args.trace_id (stamped by the service's RequestScope), so all of
 // one request's work — across threads, including stolen cast.task slices —
 // folds back onto one row. Phases follow the batch pipeline: queue wait,
-// parse, bind, relations fixpoint, update analysis, cast traversal (wall
-// clock of cast.traverse; cast.task CPU is reported separately because
-// parallel slices overlap). Aggregates group by the (src, tgt) schema-pair
-// args on svc.cast spans.
-int CmdTraceReport(int argc, char** argv) {
-  if (argc != 1) return Usage();
-  auto text = ReadFile(argv[0]);
-  if (!text.ok()) {
-    std::fprintf(stderr, "%s\n", text.status().ToString().c_str());
-    return 2;
-  }
-  auto parsed = json::Parse(*text);
+// parse, bind, relations fixpoint, update analysis, traversal (wall clock
+// of the validators' walk spans: cast.traverse, full.traverse and
+// cast_with_mods.traverse; cast.task CPU is reported separately because
+// parallel slices overlap). Aggregates group by the schema-pair args of
+// the request's svc.* span: "src->tgt", or "->tgt" for a full validation,
+// which has no source.
+Result<int> CmdTraceReport(int argc, char** argv) {
+  std::vector<std::string> args;
+  if (!ParseArgs(argc, argv, {}, &args) || args.size() != 1) return Usage();
+  const char* path = args[0].c_str();
+  ASSIGN_OR_RETURN(std::string text, ReadFile(args[0]));
+  auto parsed = json::Parse(text);
   if (!parsed.ok()) {
-    std::fprintf(stderr, "%s: %s\n", argv[0],
-                 parsed.status().ToString().c_str());
+    std::fprintf(stderr, "%s: %s\n", path, parsed.status().ToString().c_str());
     return 2;
   }
   const json::Value* events = parsed->Find("traceEvents");
   if (events == nullptr || !events->is_array()) {
-    std::fprintf(stderr, "%s: no traceEvents array\n", argv[0]);
+    std::fprintf(stderr, "%s: no traceEvents array\n", path);
     return 2;
   }
 
@@ -1054,22 +913,25 @@ int CmdTraceReport(int argc, char** argv) {
     uint64_t bind_us = 0;       // item.bind
     uint64_t fixpoint_us = 0;   // relations.fixpoint
     uint64_t analyze_us = 0;    // analysis.compile / analysis.classify
-    uint64_t traverse_us = 0;   // cast.traverse wall clock
+    uint64_t traverse_us = 0;   // *.traverse wall clock
     uint64_t task_cpu_us = 0;   // cast.task, summed across workers
     uint64_t service_us = 0;    // widest request-level span (post-dequeue)
     uint64_t total_us = 0;      // queue wait + service
     uint64_t tasks = 0;
-    std::string pair;           // "src->tgt" schema handles (svc.cast args)
+    std::string pair;           // "src->tgt" schema handles (svc.* args)
   };
   std::map<uint64_t, RequestRow> rows;  // keyed by trace_id, stable order
 
-  auto arg_of = [](const json::Value& e, const char* key) -> uint64_t {
-    const json::Value* value = nullptr;
+  // The integer arg `key` of event `e`, or nullptr when it has none.
+  auto arg_of = [](const json::Value& e,
+                   const char* key) -> const json::Value* {
     const json::Value* arguments = e.Find("args");
-    if (arguments != nullptr) value = arguments->Find(key);
-    return value != nullptr && value->is_number()
-               ? static_cast<uint64_t>(value->AsNumber())
-               : 0;
+    const json::Value* value =
+        arguments != nullptr ? arguments->Find(key) : nullptr;
+    return value != nullptr && value->is_number() ? value : nullptr;
+  };
+  auto handle = [](const json::Value* arg) {
+    return std::to_string(static_cast<uint64_t>(arg->AsNumber()));
   };
 
   for (const json::Value& e : events->AsArray()) {
@@ -1081,7 +943,9 @@ int CmdTraceReport(int argc, char** argv) {
         !dur->is_number()) {
       continue;  // flow events and metadata carry no duration
     }
-    uint64_t trace_id = arg_of(e, "trace_id");
+    const json::Value* id = arg_of(e, "trace_id");
+    const uint64_t trace_id =
+        id != nullptr ? static_cast<uint64_t>(id->AsNumber()) : 0;
     if (trace_id == 0) continue;  // span outside any request scope
     RequestRow& row = rows[trace_id];
     const std::string& span = name->AsString();
@@ -1096,7 +960,8 @@ int CmdTraceReport(int argc, char** argv) {
       row.fixpoint_us += micros;
     } else if (span == "analysis.compile" || span == "analysis.classify") {
       row.analyze_us += micros;
-    } else if (span == "cast.traverse") {
+    } else if (span == "cast.traverse" || span == "full.traverse" ||
+               span == "cast_with_mods.traverse") {
       row.traverse_us += micros;
     } else if (span == "cast.task") {
       row.task_cpu_us += micros;
@@ -1105,21 +970,19 @@ int CmdTraceReport(int argc, char** argv) {
     // The request-level span (batch.item for batch work, the svc.* entry
     // span for direct calls) starts at dequeue, so queue wait is added on
     // top afterwards to get end-to-end latency.
-    if (micros > row.service_us &&
-        (span == "batch.item" || span.rfind("svc.", 0) == 0)) {
+    const bool service_span = span.rfind("svc.", 0) == 0;
+    if (micros > row.service_us && (span == "batch.item" || service_span)) {
       row.service_us = micros;
     }
-    if (span == "svc.cast") {
-      uint64_t src = arg_of(e, "src");
-      uint64_t tgt = arg_of(e, "tgt");
-      if (row.pair.empty() && (src != 0 || tgt != 0)) {
-        row.pair = std::to_string(src) + "->" + std::to_string(tgt);
-      }
+    const json::Value* tgt = service_span ? arg_of(e, "tgt") : nullptr;
+    if (row.pair.empty() && tgt != nullptr) {
+      const json::Value* src = arg_of(e, "src");
+      row.pair = (src != nullptr ? handle(src) : "") + "->" + handle(tgt);
     }
   }
   if (rows.empty()) {
     std::printf("no request-scoped spans in %s (was tracing enabled?)\n",
-                argv[0]);
+                path);
     return 0;
   }
 
@@ -1133,7 +996,7 @@ int CmdTraceReport(int argc, char** argv) {
         row.service_us > 0 ? row.queue_us + row.service_us : phase_sum;
   }
 
-  std::printf("%zu request(s) in %s\n\n", rows.size(), argv[0]);
+  std::printf("%zu request(s) in %s\n\n", rows.size(), path);
   std::printf("%-18s %8s %8s %8s %8s %8s %8s %8s %9s %6s  %s\n", "trace_id",
               "total", "queue", "parse", "bind", "fixpnt", "analyze",
               "travrs", "task_cpu", "tasks", "pair");
@@ -1192,36 +1055,31 @@ int CmdTraceReport(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  static constexpr struct {
+    const char* name;
+    Result<int> (*run)(int argc, char** argv);
+  } kCommands[] = {
+      {"validate", CmdValidate},
+      {"cast", CmdCast},
+      {"correct", CmdCorrect},
+      {"sample", CmdSample},
+      {"relations", CmdRelations},
+      {"export", CmdExport},
+      {"compile", CmdCompile},
+      {"serve-batch", CmdServeBatch},
+      {"analyze-updates", CmdAnalyzeUpdates},
+      {"stats", CmdStats},
+      {"trace-report", CmdTraceReport},
+  };
   if (argc < 2) return Usage();
-  const char* command = argv[1];
-  if (std::strcmp(command, "validate") == 0) {
-    return CmdValidate(argc - 2, argv + 2);
-  }
-  if (std::strcmp(command, "cast") == 0) return CmdCast(argc - 2, argv + 2);
-  if (std::strcmp(command, "correct") == 0) {
-    return CmdCorrect(argc - 2, argv + 2);
-  }
-  if (std::strcmp(command, "sample") == 0) {
-    return CmdSample(argc - 2, argv + 2);
-  }
-  if (std::strcmp(command, "relations") == 0) {
-    return CmdRelations(argc - 2, argv + 2);
-  }
-  if (std::strcmp(command, "export") == 0) {
-    return CmdExport(argc - 2, argv + 2);
-  }
-  if (std::strcmp(command, "compile") == 0) {
-    return CmdCompile(argc - 2, argv + 2);
-  }
-  if (std::strcmp(command, "serve-batch") == 0) {
-    return CmdServeBatch(argc - 2, argv + 2);
-  }
-  if (std::strcmp(command, "analyze-updates") == 0) {
-    return CmdAnalyzeUpdates(argc - 2, argv + 2);
-  }
-  if (std::strcmp(command, "stats") == 0) return CmdStats(argc - 2, argv + 2);
-  if (std::strcmp(command, "trace-report") == 0) {
-    return CmdTraceReport(argc - 2, argv + 2);
+  for (const auto& command : kCommands) {
+    if (std::string_view(argv[1]) != command.name) continue;
+    Result<int> code = command.run(argc - 2, argv + 2);
+    if (!code.ok()) {
+      std::fprintf(stderr, "%s\n", code.status().ToString().c_str());
+      return 2;
+    }
+    return *code;
   }
   return Usage();  // unknown subcommand: usage message, exit 2
 }
